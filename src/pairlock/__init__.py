@@ -20,7 +20,7 @@ from .bell import (
     qber_from_s,
     visibility_from_s,
 )
-from .config import ConfigError, RunConfig, TransportConfig, load_run_config
+from .config import ConfigError, RunConfig, load_run_config
 from .simulate import (
     ClockModel,
     InvalidConfigError,
@@ -55,7 +55,6 @@ from .sync import (
     pair_difference_histogram,
     read_coincidence_log,
     run_offline,
-    track,
     write_coincidence_log,
     write_lock_timeline,
 )
@@ -119,7 +118,7 @@ __all__ = [
     "CorrelatorConfig", "OffsetEstimate", "BlockStatus", "LockState", "LockMode",
     "SyncError", "NoMarkersError", "EmptyBlockError", "NoLockError",
     "pair_difference_histogram", "cross_correlate", "coarse_align_markers",
-    "acquire_lock", "track", "Coincidences", "extract_coincidences",
+    "acquire_lock", "Coincidences", "extract_coincidences",
     "run_offline", "SyncPipeline",
     "write_coincidence_log", "read_coincidence_log",
     "write_lock_timeline", "locked_seconds_from_timeline",
@@ -128,7 +127,7 @@ __all__ = [
     "accumulate", "correlation_e", "chsh_s", "qber_from_s", "visibility_from_s",
     "bell_report",
     # config
-    "RunConfig", "TransportConfig", "ConfigError", "load_run_config",
+    "RunConfig", "ConfigError", "load_run_config",
     # transport
     "MAX_BLOCK_TAGS", "TransportError", "FrameError", "OversizeBlockError",
     "ChecksumMismatchError", "SequenceGapError", "ConnectionLostError",

@@ -18,6 +18,7 @@ import argparse
 import json
 import queue
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,21 +67,10 @@ def _clocks_for(cfg: RunConfig, offset: float | None,
     """
     alice, bob = cfg.clock_alice, cfg.clock_bob
     if offset is not None:
-        alice = ClockModel(start_offset=max(0.0, -offset),
-                           drift_fraction=alice.drift_fraction,
-                           phase_noise_sigma=alice.phase_noise_sigma,
-                           gps_jitter_sigma=alice.gps_jitter_sigma,
-                           gps_enabled=alice.gps_enabled)
-        bob = ClockModel(start_offset=max(0.0, offset),
-                         drift_fraction=bob.drift_fraction,
-                         phase_noise_sigma=bob.phase_noise_sigma,
-                         gps_jitter_sigma=bob.gps_jitter_sigma,
-                         gps_enabled=bob.gps_enabled)
+        alice = replace(alice, start_offset=max(0.0, -offset))
+        bob = replace(bob, start_offset=max(0.0, offset))
     if drift is not None:
-        bob = ClockModel(start_offset=bob.start_offset, drift_fraction=drift,
-                         phase_noise_sigma=bob.phase_noise_sigma,
-                         gps_jitter_sigma=bob.gps_jitter_sigma,
-                         gps_enabled=bob.gps_enabled)
+        bob = replace(bob, drift_fraction=drift)
     return alice, bob
 
 
@@ -88,12 +78,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     clock_alice, clock_bob = _clocks_for(cfg, args.offset, args.drift)
     if args.no_gps:
-        clock_alice = ClockModel(clock_alice.start_offset, clock_alice.drift_fraction,
-                                 clock_alice.phase_noise_sigma,
-                                 clock_alice.gps_jitter_sigma, gps_enabled=False)
-        clock_bob = ClockModel(clock_bob.start_offset, clock_bob.drift_fraction,
-                               clock_bob.phase_noise_sigma,
-                               clock_bob.gps_jitter_sigma, gps_enabled=False)
+        clock_alice = replace(clock_alice, gps_enabled=False)
+        clock_bob = replace(clock_bob, gps_enabled=False)
     alice, bob = generate_streams(args.duration, cfg.link, clock_alice, clock_bob,
                                   cfg.settings, cfg.polarization, seed=args.seed,
                                   epoch_label=args.label)

@@ -41,14 +41,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class TransportConfig:
-    host: str = "127.0.0.1"
-    port: int = 41101
-    block_tags: int = 8192
-    session_id: int = 1
-
-
-@dataclass(frozen=True)
 class RunConfig:
     link: LinkDetectorConfig = field(default_factory=reference_link)
     polarization: PolarizationModel = field(default_factory=reference_polarization)
@@ -56,7 +48,6 @@ class RunConfig:
     clock_alice: ClockModel = field(default_factory=ClockModel)
     clock_bob: ClockModel = field(default_factory=ClockModel)
     correlator: CorrelatorConfig = field(default_factory=CorrelatorConfig)
-    transport: TransportConfig = field(default_factory=TransportConfig)
 
 
 def _rates(raw: str, key: str) -> tuple[float, float, float, float]:
@@ -111,7 +102,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     known = {"link", "polarization", "measurement", "clock.alice", "clock.bob",
-             "correlator", "transport"}
+             "correlator"}
     unknown = set(parser.sections()) - known
     if unknown:
         raise ConfigError(f"unknown sections: {', '.join(sorted(unknown))}")
@@ -185,15 +176,7 @@ def load_run_config(path: str | Path) -> RunConfig:
                                  corr_base.reacquire_interval),
     )
 
-    trans_base = defaults.transport
-    transport = TransportConfig(
-        host=_take(sec["transport"], "host", str, trans_base.host),
-        port=_take(sec["transport"], "port", int, trans_base.port),
-        block_tags=_take(sec["transport"], "block_tags", int, trans_base.block_tags),
-        session_id=_take(sec["transport"], "session_id", int, trans_base.session_id),
-    )
-
     return RunConfig(link=link, polarization=polarization, settings=settings,
                      clock_alice=_clock_from(sec["clock.alice"], defaults.clock_alice),
                      clock_bob=_clock_from(sec["clock.bob"], defaults.clock_bob),
-                     correlator=correlator, transport=transport)
+                     correlator=correlator)

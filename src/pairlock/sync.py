@@ -225,12 +225,15 @@ def cross_correlate(a_times: np.ndarray, b_times: np.ndarray, center: float,
                              float(peak_offset), float(significance))
 
 
-def _match_markers(markers_a: np.ndarray, markers_b: np.ndarray):
-    """Pair GPS markers of two streams by their integer second."""
+def _marker_offset(markers_a: np.ndarray, markers_b: np.ndarray) -> float | None:
+    """Median receiver-minus-local difference of GPS markers paired by
+    integer second, or None when no second has a marker in both."""
     key_a = np.rint(markers_a).astype(np.int64)
     key_b = np.rint(markers_b).astype(np.int64)
     _, idx_a, idx_b = np.intersect1d(key_a, key_b, return_indices=True)
-    return markers_a[idx_a], markers_b[idx_b]
+    if len(idx_a) == 0:
+        return None
+    return float(np.median(markers_b[idx_b] - markers_a[idx_a]))
 
 
 def coarse_align_markers(alice: TagStream, bob: TagStream) -> float:
@@ -239,10 +242,10 @@ def coarse_align_markers(alice: TagStream, bob: TagStream) -> float:
     mb = bob.marker_seconds()
     if len(ma) == 0 or len(mb) == 0:
         raise NoMarkersError("both streams need GPS markers for coarse alignment")
-    pa, pb = _match_markers(ma, mb)
-    if len(pa) == 0:
+    offset = _marker_offset(ma, mb)
+    if offset is None:
         raise NoMarkersError("no GPS markers share an integer second")
-    return float(np.median(pb - pa))
+    return offset
 
 
 def _centroid(corr: CorrelationResult, half_width_bins: int = 3) -> float:
@@ -257,34 +260,69 @@ def _centroid(corr: CorrelationResult, half_width_bins: int = 3) -> float:
     return float((weights * centers).sum() / total)
 
 
-class _Engine:
-    """Block-serial lock engine shared by the offline and streaming paths.
+class _Appendable:
+    """Append-only 1-d array with geometric growth; view() is the filled part.
 
-    Receiver data is appended in time order; advance() processes every
-    block whose data window is fully available, so results depend only on
-    the data, not on how it was chunked on arrival.
+    The first append keeps a reference to the caller's array, so a whole
+    stream appended at once is not copied; later appends never write
+    into it.
     """
 
-    def __init__(self, alice: TagStream, cfg: CorrelatorConfig):
+    def __init__(self, dtype):
+        self._buf = np.empty(0, dtype=dtype)
+        self._n = 0
+
+    def append(self, values: np.ndarray) -> None:
+        end = self._n + len(values)
+        if self._n == 0:
+            self._buf = np.asarray(values, dtype=self._buf.dtype)
+        else:
+            if end > len(self._buf):
+                grown = np.empty(max(end, 2 * len(self._buf)), dtype=self._buf.dtype)
+                grown[:self._n] = self._buf[:self._n]
+                self._buf = grown
+            self._buf[self._n:end] = values
+        self._n = end
+
+    def view(self) -> np.ndarray:
+        return self._buf[:self._n]
+
+
+class SyncPipeline:
+    """The block-serial lock engine.
+
+    Feed receiver tags in time order as they arrive: each feed processes
+    every block whose data window is complete and returns the new block
+    statuses, so results depend only on the data, not on how it was
+    chunked on arrival. finish() closes the receiver stream, processes
+    the remaining blocks and extracts the coincidences. run_offline is one
+    feed of the whole receiver stream followed by finish().
+
+    Each receiver chunk is converted once, on arrival: its ticks and
+    channels are appended as they are, its detector and marker times as
+    seconds, so no feed touches data that arrived before it.
+    """
+
+    def __init__(self, alice: TagStream, cfg: CorrelatorConfig | None = None):
+        self.cfg = cfg = cfg or CorrelatorConfig()
         if len(alice) == 0:
             raise EmptyBlockError("local stream is empty")
-        self.cfg = cfg
-        self.a_det = alice.detector_seconds()
-        self.a_mark = alice.marker_seconds()
-        self.t_origin = ticks_to_seconds(int(alice.ticks[0]))
-        self.t_end = ticks_to_seconds(int(alice.ticks[-1]))
+        self._alice = alice
+        self._a_det = alice.detector_seconds()
+        self._a_mark = alice.marker_seconds()
+        self._t_origin = ticks_to_seconds(int(alice.ticks[0]))
+        self._t_end = ticks_to_seconds(int(alice.ticks[-1]))
         self.state = LockState()
-        self._b_tick_chunks: list[np.ndarray] = []
-        self._b_chan_chunks: list[np.ndarray] = []
-        self._b_det: np.ndarray = np.empty(0)
-        self._b_mark: np.ndarray = np.empty(0)
-        self._b_dirty = False
-        self._b_available = -math.inf
+        self._b_ticks = _Appendable(np.int64)
+        self._b_channels = _Appendable(np.uint8)
+        self._b_det = _Appendable(np.float64)
+        self._b_mark = _Appendable(np.float64)
         self._b_finished = False
+        self._events: Coincidences | None = None
         self._next_block = 0
         self._fails = 0
         self._last_attempt: int | None = None
-        span_total = self.t_end - self.t_origin
+        span_total = self._t_end - self._t_origin
         n_full = int(span_total // cfg.block_span)
         trailing = span_total - n_full * cfg.block_span
         if n_full == 0:
@@ -294,77 +332,80 @@ class _Engine:
         else:
             self._n_blocks = n_full
 
-    def seed_state(self, state: LockState) -> None:
-        self.state = state
+    def feed_bob(self, ticks: np.ndarray, channels: np.ndarray) -> list[BlockStatus]:
+        """Append receiver tags and process every block now complete.
 
-    def feed_bob(self, ticks: np.ndarray, channels: np.ndarray) -> None:
+        The arrays may be kept by reference and must not change afterwards.
+        """
+        self._receive(ticks, channels)
+        return self._advance()
+
+    def finish(self) -> list[BlockStatus]:
+        """Close the receiver stream, process the remaining blocks and
+        extract the coincidences of the whole run."""
+        self._b_finished = True
+        done = self._advance()
+        bob = TagStream(Station.BOB, self._b_ticks.view(), self._b_channels.view(),
+                        self._alice.epoch_label)
+        self._events = extract_coincidences(self._alice, bob, self.state, self.cfg)
+        return done
+
+    @property
+    def coincidences(self) -> Coincidences:
+        if self._events is None:
+            raise RuntimeError("pipeline not finished yet")
+        return self._events
+
+    def _receive(self, ticks: np.ndarray, channels: np.ndarray) -> None:
         if len(ticks) == 0:
             return
         if self._b_finished:
             raise ValueError("receiver stream already finished")
-        if self._b_tick_chunks and ticks[0] < self._b_tick_chunks[-1][-1]:
+        stored = self._b_ticks.view()
+        if len(stored) and ticks[0] < stored[-1]:
             raise ValueError("receiver chunks must arrive in time order")
-        self._b_tick_chunks.append(np.asarray(ticks, dtype=np.int64))
-        self._b_chan_chunks.append(np.asarray(channels, dtype=np.uint8))
-        self._b_available = ticks_to_seconds(int(ticks[-1]))
-        self._b_dirty = True
-
-    def finish_bob(self) -> None:
-        self._b_finished = True
-
-    def bob_stream(self, epoch_label: str = "") -> TagStream:
-        ticks = (np.concatenate(self._b_tick_chunks)
-                 if self._b_tick_chunks else np.empty(0, dtype=np.int64))
-        chans = (np.concatenate(self._b_chan_chunks)
-                 if self._b_chan_chunks else np.empty(0, dtype=np.uint8))
-        return TagStream(Station.BOB, ticks, chans, epoch_label)
-
-    def _bob_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._b_dirty:
-            ticks = np.concatenate(self._b_tick_chunks)
-            chans = np.concatenate(self._b_chan_chunks)
-            seconds = ticks_to_seconds(ticks)
-            marker = chans == int(ChannelCode.GPS_MARKER)
-            self._b_det = seconds[~marker]
-            self._b_mark = seconds[marker]
-            self._b_dirty = False
-        return self._b_det, self._b_mark
+        ticks = np.asarray(ticks, dtype=np.int64)
+        channels = np.asarray(channels, dtype=np.uint8)
+        marker = channels == int(ChannelCode.GPS_MARKER)
+        self._b_ticks.append(ticks)
+        self._b_channels.append(channels)
+        self._b_det.append(ticks_to_seconds(ticks[~marker]))
+        self._b_mark.append(ticks_to_seconds(ticks[marker]))
 
     def _block_bounds(self, i: int) -> tuple[float, float]:
-        start = self.t_origin + i * self.cfg.block_span
+        start = self._t_origin + i * self.cfg.block_span
         if i == self._n_blocks - 1:
-            return start, self.t_end + 1e-9
+            return start, self._t_end + 1e-9
         return start, start + self.cfg.block_span
 
-    def _data_ready(self, i: int, t_start: float, t_end: float) -> bool:
+    def _data_ready(self, t_start: float, t_end: float) -> bool:
         if self._b_finished:
             return True
+        stored = self._b_ticks.view()
+        if len(stored) == 0:
+            return False
         cfg = self.cfg
         if self.state.current is None or self.state.mode is LockMode.SEARCHING:
-            need = min(max(t_end, t_start + cfg.acquisition_span), self.t_end) \
+            need = min(max(t_end, t_start + cfg.acquisition_span), self._t_end) \
                 + cfg.blind_search_span + 1.5
         else:
             need = t_end + abs(self.state.current.offset) + 1.5
-        return self._b_available >= need
+        return ticks_to_seconds(int(stored[-1])) >= need
 
-    def advance(self) -> list[BlockStatus]:
+    def _advance(self) -> list[BlockStatus]:
         """Process all blocks whose receiver data is available."""
         done: list[BlockStatus] = []
         while self._next_block < self._n_blocks:
             t_start, t_end = self._block_bounds(self._next_block)
-            if not self._data_ready(self._next_block, t_start, t_end):
+            if not self._data_ready(t_start, t_end):
                 break
             done.append(self._process_block(self._next_block, t_start, t_end))
             self._next_block += 1
         return done
 
-    @property
-    def finished(self) -> bool:
-        return self._next_block >= self._n_blocks
-
     def _bob_local_rate(self, lo: float, hi: float) -> float:
         """Detector rate of the receiver around a local window (tags/s)."""
-        b_det, _ = self._bob_arrays()
+        b_det = self._b_det.view()
         pad = 0.5
         n = np.searchsorted(b_det, hi + pad) - np.searchsorted(b_det, lo - pad)
         return float(n) / (hi - lo + 2 * pad)
@@ -432,14 +473,14 @@ class _Engine:
                       predicted: float) -> tuple[float, float]:
         """Fine correlation of one block around a predicted offset."""
         cfg = self.cfg
-        a0 = np.searchsorted(self.a_det, t_start)
-        a1 = np.searchsorted(self.a_det, t_end)
-        a_slice = self.a_det[a0:a1]
+        a0 = np.searchsorted(self._a_det, t_start)
+        a1 = np.searchsorted(self._a_det, t_end)
+        a_slice = self._a_det[a0:a1]
         if len(a_slice) == 0:
             return math.nan, 0.0
         span = 2.0 * cfg.coarse_bin
         pad = cfg.coarse_bin + cfg.coincidence_window
-        b_det, _ = self._bob_arrays()
+        b_det = self._b_det.view()
         b0 = np.searchsorted(b_det, t_start + predicted - span - pad)
         b1 = np.searchsorted(b_det, t_end + predicted + span + pad)
         b_slice = b_det[b0:b1]
@@ -454,25 +495,23 @@ class _Engine:
     def _attempt_acquire(self, t_start: float) -> OffsetEstimate | None:
         """Two-stage acquisition over a window starting at t_start."""
         cfg = self.cfg
-        t_stop = min(t_start + cfg.acquisition_span, self.t_end)
+        t_stop = min(t_start + cfg.acquisition_span, self._t_end)
         if t_stop - t_start < cfg.block_span:
             return None
-        a0 = np.searchsorted(self.a_det, t_start)
-        a1 = np.searchsorted(self.a_det, t_stop)
-        a_slice = self.a_det[a0:a1]
-        b_det, b_mark = self._bob_arrays()
+        a0 = np.searchsorted(self._a_det, t_start)
+        a1 = np.searchsorted(self._a_det, t_stop)
+        a_slice = self._a_det[a0:a1]
+        b_det = self._b_det.view()
         if len(a_slice) == 0 or len(b_det) == 0:
             return None
 
-        center = 0.0
-        span = cfg.blind_search_span
-        m0 = np.searchsorted(self.a_mark, t_start)
-        m1 = np.searchsorted(self.a_mark, t_stop)
-        if m1 > m0 and len(b_mark):
-            pa, pb = _match_markers(self.a_mark[m0:m1], b_mark)
-            if len(pa):
-                center = float(np.median(pb - pa))
-                span = cfg.gps_search_span
+        m0 = np.searchsorted(self._a_mark, t_start)
+        m1 = np.searchsorted(self._a_mark, t_stop)
+        center = _marker_offset(self._a_mark[m0:m1], self._b_mark.view())
+        if center is None:
+            center, span = 0.0, cfg.blind_search_span
+        else:
+            span = cfg.gps_search_span
 
         pad = 2.0 * cfg.coarse_bin
         b0 = np.searchsorted(b_det, t_start + center - span - pad)
@@ -510,27 +549,13 @@ def acquire_lock(alice: TagStream, bob: TagStream,
     Raises NoLockError when neither correlation stage clears the
     threshold.
     """
-    cfg = cfg or CorrelatorConfig()
-    engine = _Engine(alice, cfg)
-    engine.feed_bob(bob.ticks, bob.channels)
-    engine.finish_bob()
-    est = engine._attempt_acquire(engine.t_origin)
+    pipeline = SyncPipeline(alice, cfg)
+    pipeline._receive(bob.ticks, bob.channels)
+    est = pipeline._attempt_acquire(pipeline._t_origin)
     if est is None:
         raise NoLockError("no correlation peak above threshold")
     return LockState(mode=LockMode.LOCKED, current=est,
                      history=[(est.valid_from, est)])
-
-
-def track(state: LockState, alice: TagStream, bob: TagStream,
-          cfg: CorrelatorConfig | None = None) -> LockState:
-    """Run block-wise tracking over the full streams from a seed state."""
-    cfg = cfg or CorrelatorConfig()
-    engine = _Engine(alice, cfg)
-    engine.seed_state(state)
-    engine.feed_bob(bob.ticks, bob.channels)
-    engine.finish_bob()
-    engine.advance()
-    return engine.state
 
 
 @dataclass
@@ -628,49 +653,10 @@ def extract_coincidences(alice: TagStream, bob: TagStream, state: LockState,
 def run_offline(alice: TagStream, bob: TagStream,
                 cfg: CorrelatorConfig | None = None) -> tuple[LockState, Coincidences]:
     """Full pipeline on complete streams: acquire, track, extract."""
-    cfg = cfg or CorrelatorConfig()
-    engine = _Engine(alice, cfg)
-    engine.feed_bob(bob.ticks, bob.channels)
-    engine.finish_bob()
-    engine.advance()
-    events = extract_coincidences(alice, bob, engine.state, cfg)
-    return engine.state, events
-
-
-class SyncPipeline:
-    """Incremental front end over the lock engine for streamed receivers.
-
-    Feed receiver tags as they arrive; advance() processes every block
-    whose data window is complete and returns the new block statuses. The
-    final results are identical to run_offline on the assembled streams.
-    """
-
-    def __init__(self, alice: TagStream, cfg: CorrelatorConfig | None = None):
-        self.cfg = cfg or CorrelatorConfig()
-        self._alice = alice
-        self._engine = _Engine(alice, self.cfg)
-        self._events: Coincidences | None = None
-
-    def feed_bob(self, ticks: np.ndarray, channels: np.ndarray) -> list[BlockStatus]:
-        self._engine.feed_bob(ticks, channels)
-        return self._engine.advance()
-
-    def finish(self) -> list[BlockStatus]:
-        self._engine.finish_bob()
-        done = self._engine.advance()
-        bob = self._engine.bob_stream(self._alice.epoch_label)
-        self._events = extract_coincidences(self._alice, bob, self._engine.state, self.cfg)
-        return done
-
-    @property
-    def state(self) -> LockState:
-        return self._engine.state
-
-    @property
-    def coincidences(self) -> Coincidences:
-        if self._events is None:
-            raise RuntimeError("pipeline not finished yet")
-        return self._events
+    pipeline = SyncPipeline(alice, cfg)
+    pipeline.feed_bob(bob.ticks, bob.channels)
+    pipeline.finish()
+    return pipeline.state, pipeline.coincidences
 
 
 _COINC_HEADER = "alice_ticks,alice_channel,bob_ticks,bob_channel,residual_ns"
@@ -686,19 +672,27 @@ def write_coincidence_log(path: str | Path, events: Coincidences) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _load_csv(path: str | Path) -> np.ndarray:
+# One named field per CSV column; tick columns are integers, since
+# float64 cannot hold 60-bit ticks exactly.
+_COINC_DTYPE = np.dtype(list(zip(_COINC_HEADER.split(","),
+                                 (np.int64, np.uint8, np.int64, np.uint8, np.float64))))
+_TIMELINE_DTYPE = np.dtype([(name, np.float64) for name in _TIMELINE_HEADER.split(",")])
+
+
+def _load_csv(path: str | Path, dtype: np.dtype) -> np.ndarray:
+    """One structured row per line after the header."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # header-only file
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return np.loadtxt(path, delimiter=",", skiprows=1, dtype=dtype, ndmin=1)
 
 
 def read_coincidence_log(path: str | Path) -> Coincidences:
-    raw = _load_csv(path)
+    raw = _load_csv(path, _COINC_DTYPE)
     if raw.size == 0:
         return Coincidences.empty()
-    return Coincidences(raw[:, 0].astype(np.int64), raw[:, 1].astype(np.uint8),
-                        raw[:, 2].astype(np.int64), raw[:, 3].astype(np.uint8),
-                        raw[:, 4] * 1e-9)
+    return Coincidences(raw["alice_ticks"], raw["alice_channel"],
+                        raw["bob_ticks"], raw["bob_channel"],
+                        raw["residual_ns"] * 1e-9)
 
 
 def write_lock_timeline(path: str | Path, state: LockState) -> None:
@@ -713,7 +707,7 @@ def write_lock_timeline(path: str | Path, state: LockState) -> None:
 
 
 def locked_seconds_from_timeline(path: str | Path) -> float:
-    raw = _load_csv(path)
+    raw = _load_csv(path, _TIMELINE_DTYPE)
     if raw.size == 0:
         return 0.0
-    return float((raw[:, 1] - raw[:, 0]).sum())
+    return float((raw["t_end"] - raw["t_start"]).sum())

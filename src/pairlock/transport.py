@@ -154,7 +154,11 @@ def _read_exact(conn: socket.socket, n: int) -> bytes:
 
 
 class _SessionState:
-    """Receive-side reassembly for one session id."""
+    """Receive-side reassembly for one session id.
+
+    Accepted blocks go to on_block when one is given, and are kept for
+    words() otherwise.
+    """
 
     def __init__(self, on_block: Callable[[int, np.ndarray], None] | None = None):
         self.next_sequence = 0
@@ -175,9 +179,10 @@ class _SessionState:
         if block.sequence == self.next_sequence:
             if self.station is None:
                 self.station = block.station
-            self.block_words.append(block.words)
             self.next_sequence += 1
-            if self.on_block is not None:
+            if self.on_block is None:
+                self.block_words.append(block.words)
+            else:
                 self.on_block(block.sequence, block.words)
         return self.next_sequence
 
@@ -281,6 +286,9 @@ class ReceiverServer:
         self._thread.join(timeout=5.0)
 
     def words(self) -> np.ndarray:
+        """All words received so far, in order; only without on_block."""
+        if self._on_block is not None:
+            raise RuntimeError("blocks went to the on_block consumer and were not kept")
         if self._active is None:
             return np.empty(0, dtype=np.uint64)
         return self._active.words()

@@ -35,6 +35,22 @@ def test_simulate_writes_readable_files(tmp_path, capsys):
     assert truth["bob"]["start_offset"] == 0.2
 
 
+def test_simulate_without_gps_writes_no_markers(tmp_path):
+    runs = {}
+    for name, extra in (("gps", ()), ("nogps", ("--no-gps",))):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        truth = run_dir / "truth.json"
+        a, b = _simulate(run_dir, duration="3", extra=(*extra, "--truth", str(truth)))
+        runs[name] = (read_tagfile(a), read_tagfile(b), truth.read_text())
+    gps_alice, gps_bob, gps_truth = runs["gps"]
+    alice, bob, truth = runs["nogps"]
+    assert len(gps_alice.marker_seconds()) and len(gps_bob.marker_seconds())
+    assert len(alice.marker_seconds()) == 0
+    assert len(bob.marker_seconds()) == 0
+    assert truth == gps_truth
+
+
 def test_simulate_rejects_bad_duration(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--duration", "-3", "--out-a", "x", "--out-b", "y"])

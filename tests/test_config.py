@@ -10,7 +10,6 @@ def test_defaults_are_the_reference_profile():
     assert cfg.polarization.rotation_error == 14.5
     assert cfg.correlator.coincidence_window == 7e-9
     assert cfg.correlator.lock_threshold == 5.0
-    assert cfg.transport.block_tags == 8192
 
 
 def test_partial_file_overrides_only_named_keys(tmp_path):
@@ -26,10 +25,7 @@ def test_partial_file_overrides_only_named_keys(tmp_path):
         "\n"
         "[correlator]\n"
         "lock_threshold = 8\n"
-        "acquisition_span = 5.0\n"
-        "\n"
-        "[transport]\n"
-        "port = 45000\n")
+        "acquisition_span = 5.0\n")
     cfg = load_run_config(path)
     assert cfg.link.pair_rate == 50000.0
     assert cfg.link.fluctuation_sigma == 0.0
@@ -40,7 +36,6 @@ def test_partial_file_overrides_only_named_keys(tmp_path):
     assert cfg.correlator.lock_threshold == 8.0
     assert cfg.correlator.acquisition_span == 5.0
     assert cfg.correlator.fine_bin == 1e-9
-    assert cfg.transport.port == 45000
 
 
 def test_dark_rate_shorthand(tmp_path):

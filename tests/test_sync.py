@@ -334,6 +334,23 @@ def test_coincidence_log_round_trip(tmp_path):
     assert np.allclose(back.residuals, events.residuals, atol=1e-13)
 
 
+def test_coincidence_log_round_trip_is_exact_at_60_bit_ticks(tmp_path):
+    from pairlock.sync import Coincidences
+    # float64 holds 53 bits: 2**59 + 1001 would come back 23 ticks off
+    a_ticks = np.array([2**59 + 1001, 2**60 - 3], dtype=np.int64)
+    events = Coincidences(a_ticks, np.array([0, 3], dtype=np.uint8),
+                          a_ticks + 57, np.array([1, 2], dtype=np.uint8),
+                          np.array([7.125e-9, 0.0]))
+    path = tmp_path / "coinc.csv"
+    write_coincidence_log(path, events)
+    back = read_coincidence_log(path)
+    assert np.array_equal(back.alice_ticks, events.alice_ticks)
+    assert np.array_equal(back.alice_channels, events.alice_channels)
+    assert np.array_equal(back.bob_ticks, events.bob_ticks)
+    assert np.array_equal(back.bob_channels, events.bob_channels)
+    assert np.allclose(back.residuals, events.residuals, atol=1e-13)
+
+
 def test_empty_coincidence_log_round_trip(tmp_path):
     from pairlock.sync import Coincidences
     path = tmp_path / "empty.csv"

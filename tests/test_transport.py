@@ -180,6 +180,38 @@ def test_resume_after_forced_disconnect():
     assert np.array_equal(server.words(), words)
 
 
+def test_on_block_consumer_gets_every_block_once_in_order():
+    delivered = []
+    session = _SessionState(on_block=lambda seq, w: delivered.append(seq))
+    b0 = TagBlock(0, Station.BOB, _words(5))
+    session.handle_block(b0)
+    session.handle_block(b0)  # resent duplicate
+    assert delivered == [0]
+
+    words = _words(30_000)
+    received = []
+    server = ReceiverServer(on_block=lambda seq, w: received.append((seq, w))).start()
+    budgets = iter([40_000])  # first connection dies mid-stream
+
+    def factory():
+        sock = socket.create_connection((server.host, server.port), timeout=10.0)
+        budget = next(budgets, None)
+        return _BudgetSocket(sock, budget) if budget is not None else sock
+
+    try:
+        stats = send_words(server.host, server.port, words, Station.BOB,
+                           block_tags=2048, connect_factory=factory)
+        assert server.wait(timeout=10.0)
+    finally:
+        server.stop()
+    assert stats.reconnects == 1
+    assert [seq for seq, _ in received] == list(range(stats.blocks))
+    assert np.array_equal(np.concatenate([w for _, w in received]), words)
+    # the consumer owns the data; the server keeps no copy of it
+    with pytest.raises(RuntimeError):
+        server.words()
+
+
 def test_sender_gives_up_when_every_connection_fails():
     server = ReceiverServer().start()
 
