@@ -158,7 +158,18 @@ class CorrelationResult:
 
 
 _MAX_BINS = 20_000_000
-_MAX_CHUNK_PAIRS = 4_000_000
+# Pairs per histogram chunk: the chunk's 8-byte temporaries stay in cache.
+# A chunk spans at least two histograms' worth of pairs, so the per-chunk
+# bincount over all bins stays a minor cost for wide histograms.
+_CHUNK_PAIRS = 1 << 16
+
+
+def _expand_groups(lo: np.ndarray, counts: np.ndarray, ramp: np.ndarray) -> np.ndarray:
+    """Indices lo[g], lo[g] + 1, ..., lo[g] + counts[g] - 1 of every group
+    g, group after group. ramp is np.arange of at least counts.sum()."""
+    ends = np.cumsum(counts)
+    n = int(ends[-1]) if len(ends) else 0
+    return ramp[:n] + np.repeat(lo - (ends - counts), counts)
 
 
 def pair_difference_histogram(a_times: np.ndarray, b_times: np.ndarray,
@@ -167,35 +178,60 @@ def pair_difference_histogram(a_times: np.ndarray, b_times: np.ndarray,
 
     Equals the direct all-pairs histogram bin for bin: a pair contributes
     to bin floor((d + span) / bin_width) when that index is in range. The
-    inner arithmetic matches the obvious nested-loop reference operation
-    for operation, so results agree exactly, not just to rounding.
+    pairs are enumerated from the shorter array, whose every element
+    searches its partners in the longer one, in chunks of a few ten
+    thousand pairs; the arithmetic on each pair still matches the obvious
+    nested-loop reference operation for operation, so results agree
+    exactly, not just to rounding.
     """
     n_bins = int(round(2.0 * span / bin_width))
     if n_bins < 1 or n_bins > _MAX_BINS:
         raise ValueError(f"requested {n_bins} bins, supported range is 1..{_MAX_BINS}")
-    hist = np.zeros(n_bins, dtype=np.int64)
     # Prefilter one bin wider than the span so that float rounding at the
     # edges can never hide a pair the bin filter below would accept.
-    lo = np.searchsorted(b_times, a_times + (center - span - bin_width))
-    hi = np.searchsorted(b_times, a_times + (center + span + bin_width))
+    lo_shift = center - span - bin_width
+    hi_shift = center + span + bin_width
+    b_outer = len(b_times) < len(a_times)
+    if b_outer:
+        outer, inner = b_times, a_times
+        lo = np.searchsorted(a_times, b_times - hi_shift, side="right")
+        hi = np.searchsorted(a_times, b_times - lo_shift, side="right")
+    else:
+        outer, inner = a_times, b_times
+        lo = np.searchsorted(b_times, a_times + lo_shift)
+        hi = np.searchsorted(b_times, a_times + hi_shift)
     counts = hi - lo
-    cum = np.concatenate(([0], np.cumsum(counts)))
+    groups = np.flatnonzero(counts)
+    # Clipped indices -1 and n_bins collect the pairs outside the span.
+    hist = np.zeros(n_bins + 2, dtype=np.int64)
+    if len(groups) == 0:
+        return hist[1:-1]
+    outer, lo, counts = outer[groups], lo[groups], counts[groups]
+    ends = np.cumsum(counts)
+    chunk = max(_CHUNK_PAIRS, 2 * n_bins)
+    ramp = np.arange(max(chunk, int(counts.max())), dtype=np.intp)
     i = 0
-    while i < len(a_times):
-        j = int(np.searchsorted(cum, cum[i] + _MAX_CHUNK_PAIRS, side="right")) - 1
-        j = max(j, i + 1)
-        n_pairs = int(cum[j] - cum[i])
-        if n_pairs:
-            c = counts[i:j]
-            group_starts = (cum[i:j] - cum[i]).astype(np.int64)
-            idx_b = np.arange(n_pairs, dtype=np.int64) - np.repeat(group_starts, c) \
-                + np.repeat(lo[i:j], c)
-            d = (b_times[idx_b] - np.repeat(a_times[i:j], c)) - center
-            k = np.floor((d + span) / bin_width).astype(np.int64)
-            valid = (k >= 0) & (k < n_bins)
-            hist += np.bincount(k[valid], minlength=n_bins)
+    while i < len(counts):
+        done = int(ends[i - 1]) if i else 0
+        j = max(int(np.searchsorted(ends, done + chunk, side="right")), i + 1)
+        c = counts[i:j]
+        idx = _expand_groups(lo[i:j], c, ramp)
+        if b_outer:
+            d = np.repeat(outer[i:j], c)
+            d -= inner[idx]
+        else:
+            d = inner[idx]
+            d -= np.repeat(outer[i:j], c)
+        d -= center
+        d += span
+        d /= bin_width
+        np.floor(d, out=d)
+        np.clip(d, -1, n_bins, out=d)
+        k = d.astype(np.intp)
+        k += 1
+        hist += np.bincount(k, minlength=n_bins + 2)
         i = j
-    return hist
+    return hist[1:-1]
 
 
 def cross_correlate(a_times: np.ndarray, b_times: np.ndarray, center: float,
@@ -237,7 +273,13 @@ def _marker_offset(markers_a: np.ndarray, markers_b: np.ndarray) -> float | None
 
 
 def coarse_align_markers(alice: TagStream, bob: TagStream) -> float:
-    """Median receiver-minus-local difference of matching GPS markers."""
+    """Median receiver-minus-local difference of matching GPS markers.
+
+    Markers are paired by each station's rounded second, so the result is
+    the offset modulo one second, folded into about [-0.5, 0.5) s: a true
+    offset of 0.7 s reads as -0.3 s. Acquisition therefore also searches
+    one second either side of it.
+    """
     ma = alice.marker_seconds()
     mb = bob.marker_seconds()
     if len(ma) == 0 or len(mb) == 0:
@@ -509,10 +551,21 @@ class SyncPipeline:
         m1 = np.searchsorted(self._a_mark, t_stop)
         center = _marker_offset(self._a_mark[m0:m1], self._b_mark.view())
         if center is None:
-            center, span = 0.0, cfg.blind_search_span
-        else:
-            span = cfg.gps_search_span
+            return self._two_stage(a_slice, t_start, t_stop, 0.0, cfg.blind_search_span)
+        # Markers fix the offset only modulo one second (see
+        # coarse_align_markers), so the neighbouring seconds are tried next.
+        for trial in (center, center + 1.0, center - 1.0):
+            est = self._two_stage(a_slice, t_start, t_stop, trial, cfg.gps_search_span)
+            if est is not None:
+                return est
+        return None
 
+    def _two_stage(self, a_slice: np.ndarray, t_start: float, t_stop: float,
+                   center: float, span: float) -> OffsetEstimate | None:
+        """Coarse search of +-span around center, then the fine stage
+        around the coarse peak; None unless both clear the threshold."""
+        cfg = self.cfg
+        b_det = self._b_det.view()
         pad = 2.0 * cfg.coarse_bin
         b0 = np.searchsorted(b_det, t_start + center - span - pad)
         b1 = np.searchsorted(b_det, t_stop + center + span + pad)
@@ -587,6 +640,11 @@ def extract_coincidences(alice: TagStream, bob: TagStream, state: LockState,
     at most once. Working in integer ticks with the block offset rounded
     to the nearest tick makes the window edge exact: a pair at exactly tau
     is in, one tick beyond is out.
+
+    A candidate that shares neither tag with another candidate of its
+    block, and whose receiver tag no earlier block took, wins whatever
+    the order, so only the candidates in conflict go through the greedy
+    loop; the result is the same as running it over all of them.
     """
     cfg = cfg or CorrelatorConfig()
     a_mask = alice.detector_mask
@@ -609,37 +667,56 @@ def extract_coincidences(alice: TagStream, bob: TagStream, state: LockState,
         if a1 <= a0:
             continue
         off_ticks = int(round(block.offset / TICK_SECONDS))
-        targets = a_ticks[a0:a1] + off_ticks
-        lo = np.searchsorted(b_ticks, targets - tau_ticks, side="left")
-        hi = np.searchsorted(b_ticks, targets + tau_ticks, side="right")
+        # Candidate pairs: off - tau <= b - a <= off + tau, searched from
+        # the side with fewer tags in the block's window.
+        a_blk = a_ticks[a0:a1]
+        b0 = int(np.searchsorted(b_ticks, a_blk[0] + off_ticks - tau_ticks, side="left"))
+        b1 = int(np.searchsorted(b_ticks, a_blk[-1] + off_ticks + tau_ticks, side="right"))
+        b_win = b_ticks[b0:b1]
+        b_side = len(b_win) < len(a_blk)
+        if b_side:
+            lo = np.searchsorted(a_blk, b_win - (off_ticks + tau_ticks), side="left")
+            hi = np.searchsorted(a_blk, b_win - (off_ticks - tau_ticks), side="right")
+            outer0, outer1, inner0 = b0, b1, a0
+        else:
+            lo = np.searchsorted(b_win, a_blk + (off_ticks - tau_ticks), side="left")
+            hi = np.searchsorted(b_win, a_blk + (off_ticks + tau_ticks), side="right")
+            outer0, outer1, inner0 = a0, a1, b0
         counts = hi - lo
-        n_pairs = int(counts.sum())
-        if n_pairs == 0:
+        outer = np.repeat(np.arange(outer0, outer1, dtype=np.int64), counts)
+        inner = inner0 + _expand_groups(lo, counts, np.arange(len(outer), dtype=np.int64))
+        cand_a, cand_b = (inner, outer) if b_side else (outer, inner)
+        # A receiver tag an earlier block took is skipped by the greedy
+        # pass without effect on any other candidate.
+        open_b = ~used_b[cand_b]
+        cand_a, cand_b = cand_a[open_b], cand_b[open_b]
+        if len(cand_a) == 0:
             continue
-        group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        cand_b = (np.arange(n_pairs, dtype=np.int64)
-                  - np.repeat(group_starts, counts) + np.repeat(lo, counts))
-        cand_a = np.repeat(np.arange(a0, a1, dtype=np.int64), counts)
-        diff = (b_ticks[cand_b] - off_ticks) - a_ticks[cand_a]
-        order = np.lexsort((cand_b, cand_a, np.abs(diff)))
+        dist = np.abs((b_ticks[cand_b] - off_ticks) - a_ticks[cand_a])
+        shared = (np.bincount(cand_a - a0)[cand_a - a0] > 1) \
+            | (np.bincount(cand_b - b0)[cand_b - b0] > 1)
+        conflict = np.flatnonzero(shared)
+        keep = np.flatnonzero(~shared)
+        order = conflict[np.lexsort((cand_b[conflict], cand_a[conflict], dist[conflict]))]
         taken_a: set[int] = set()
-        keep = []
-        for idx in order:
-            ia = int(cand_a[idx])
-            ib = int(cand_b[idx])
-            if ia in taken_a or used_b[ib]:
+        taken_b: set[int] = set()
+        won = []
+        for idx, ia, ib in zip(order.tolist(), cand_a[order].tolist(),
+                               cand_b[order].tolist()):
+            if ia in taken_a or ib in taken_b:
                 continue
             taken_a.add(ia)
-            used_b[ib] = True
-            keep.append(idx)
-        if not keep:
-            continue
-        keep_arr = np.array(keep, dtype=np.int64)
-        ia = cand_a[keep_arr]
-        ib = cand_b[keep_arr]
-        res = np.abs(diff[keep_arr]).astype(np.float64) * TICK_SECONDS
-        time_order = np.argsort(a_ticks[ia], kind="stable")
-        parts.append((ia[time_order], ib[time_order], res[time_order]))
+            taken_b.add(ib)
+            won.append(idx)
+        keep = np.concatenate((keep, np.array(won, dtype=np.int64)))
+        # Local index order is time order. Local tags with equal ticks
+        # share their candidates, so the greedy pass also took them in
+        # index order.
+        keep = keep[np.argsort(cand_a[keep])]
+        ib = cand_b[keep]
+        used_b[ib] = True
+        res = dist[keep].astype(np.float64) * TICK_SECONDS
+        parts.append((cand_a[keep], ib, res))
 
     if not parts:
         return Coincidences.empty()
@@ -664,11 +741,11 @@ _TIMELINE_HEADER = "t_start,t_end,offset_ns,drift,significance"
 
 
 def write_coincidence_log(path: str | Path, events: Coincidences) -> None:
+    columns = (events.alice_ticks.tolist(), events.alice_channels.tolist(),
+               events.bob_ticks.tolist(), events.bob_channels.tolist(),
+               (events.residuals * 1e9).tolist())
     lines = [_COINC_HEADER]
-    res_ns = events.residuals * 1e9
-    for i in range(len(events)):
-        lines.append(f"{events.alice_ticks[i]},{events.alice_channels[i]},"
-                     f"{events.bob_ticks[i]},{events.bob_channels[i]},{res_ns[i]:.3f}")
+    lines += [f"{a},{a_ch},{b},{b_ch},{res:.3f}" for a, a_ch, b, b_ch, res in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

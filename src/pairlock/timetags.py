@@ -125,7 +125,8 @@ def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         first = int(channels[bad][0])
         raise InvalidChannelError(f"channel nibble {first:#x} is not assigned")
-    ticks = (words >> np.uint64(4)).astype(np.int64)
+    # Shifted words are below 2**60, so their int64 view is exact.
+    ticks = (words >> np.uint64(4)).view(np.int64)
     return ticks, channels
 
 
@@ -222,10 +223,10 @@ def read_tagfile(path: str | Path) -> TagStream:
         raise TagFileError(f"{path}: unsupported version {version}")
     if station not in (0, 1):
         raise TagFileError(f"{path}: unknown station id {station}")
-    body = raw[_HEADER.size:]
-    if len(body) != 8 * count:
-        raise TagFileError(f"{path}: expected {count} tags, found {len(body) // 8}")
-    words = np.frombuffer(body, dtype="<u8").astype(np.uint64)
+    body_size = len(raw) - _HEADER.size
+    if body_size != 8 * count:
+        raise TagFileError(f"{path}: expected {count} tags, found {body_size // 8}")
+    words = np.frombuffer(raw, dtype="<u8", count=count, offset=_HEADER.size)
     ticks, channels = decode_words(words)
     if len(ticks) > 1 and np.any(np.diff(ticks) < 0):
         raise TagFileError(f"{path}: tags are not sorted")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pairlock import sync
 from pairlock.simulate import (
     ClockModel,
     LinkDetectorConfig,
@@ -33,7 +34,7 @@ from pairlock.sync import (
     write_coincidence_log,
     write_lock_timeline,
 )
-from pairlock.timetags import TICK_SECONDS, Station, TagStream
+from pairlock.timetags import TICK_SECONDS, Station, TagStream, seconds_to_ticks
 
 
 def slow_histogram(a_times, b_times, center, span, bin_width):
@@ -64,6 +65,48 @@ def test_histogram_counts_every_pair_once_when_span_covers_all():
     b = np.array([0.5e-6, 1.5e-6])
     hist = pair_difference_histogram(a, b, 0.0, 1e-5, 1e-7)
     assert hist.sum() == len(a) * len(b)
+
+
+@pytest.mark.parametrize("n_a, n_b", [(90, 40), (40, 90)])
+def test_histogram_matches_reference_from_either_side(n_a, n_b, monkeypatch):
+    # the shorter array is enumerated; tiny chunks put chunk boundaries
+    # inside and between pair groups
+    rng = np.random.default_rng(n_a)
+    for chunk in (1, 7, sync._CHUNK_PAIRS):
+        monkeypatch.setattr(sync, "_CHUNK_PAIRS", chunk)
+        for _ in range(3):
+            a = np.sort(rng.uniform(0.0, 1e-4, size=n_a))
+            b = np.sort(rng.uniform(0.0, 1e-4, size=n_b))
+            center = rng.uniform(-1e-5, 1e-5)
+            hist = pair_difference_histogram(a, b, center, 2e-5, 1e-7)
+            assert np.array_equal(hist, slow_histogram(a, b, center, 2e-5, 1e-7))
+
+
+@pytest.mark.parametrize("bin_width", [1e-7, 2.0 ** -23])
+@pytest.mark.parametrize("n_a, n_b", [(70, 30), (30, 70)])
+def test_histogram_matches_reference_on_exact_bin_edges(bin_width, n_a, n_b):
+    # every time, the centre and the span are whole multiples of the bin
+    # width, so every difference sits on a bin edge up to rounding
+    rng = np.random.default_rng(n_a + n_b)
+    for _ in range(5):
+        a = np.sort(rng.integers(0, 400, size=n_a)) * bin_width
+        b = np.sort(rng.integers(0, 400, size=n_b)) * bin_width
+        center = int(rng.integers(-20, 20)) * bin_width
+        span = 150 * bin_width
+        hist = pair_difference_histogram(a, b, center, span, bin_width)
+        assert hist.sum() > 0
+        assert np.array_equal(hist, slow_histogram(a, b, center, span, bin_width))
+
+
+@pytest.mark.parametrize("n_a, n_b", [(80, 30), (30, 80)])
+def test_histogram_matches_reference_with_more_bins_than_a_chunk(n_a, n_b):
+    rng = np.random.default_rng(7)
+    span, bin_width = 1e-2, 1e-7
+    assert int(round(2.0 * span / bin_width)) > sync._CHUNK_PAIRS
+    a = np.sort(rng.uniform(0.0, 2e-2, size=n_a))
+    b = np.sort(rng.uniform(0.0, 2e-2, size=n_b))
+    hist = pair_difference_histogram(a, b, 1e-3, span, bin_width)
+    assert np.array_equal(hist, slow_histogram(a, b, 1e-3, span, bin_width))
 
 
 def test_cross_correlate_finds_a_known_offset():
@@ -287,6 +330,98 @@ def test_extraction_output_is_time_ordered():
     assert np.all(np.diff(events.alice_ticks) >= 0)
 
 
+def greedy_oracle(alice, bob, state, tau_ticks):
+    """Brute-force extraction: per locked block, every candidate pair
+    sorted by (|diff|, local index, receiver index), accepted one-to-one,
+    with receiver tags taken by earlier blocks staying taken; rows in
+    local time order, equal ticks in acceptance order."""
+    a_ticks = alice.ticks[alice.detector_mask].tolist()
+    b_ticks = bob.ticks[bob.detector_mask].tolist()
+    used_b = set()
+    rows = []
+    for block in state.blocks:
+        if not block.locked:
+            continue
+        s_tick = seconds_to_ticks(block.t_start)
+        e_tick = seconds_to_ticks(block.t_end)
+        off = int(round(block.offset / TICK_SECONDS))
+        candidates = sorted(
+            (abs((b - off) - a), i, j)
+            for i, a in enumerate(a_ticks) if s_tick <= a < e_tick
+            for j, b in enumerate(b_ticks) if abs((b - off) - a) <= tau_ticks)
+        taken_a = set()
+        kept = []
+        for dist, i, j in candidates:
+            if i in taken_a or j in used_b:
+                continue
+            taken_a.add(i)
+            used_b.add(j)
+            kept.append((i, j, dist))
+        kept.sort(key=lambda row: a_ticks[row[0]])
+        rows += kept
+    return rows
+
+
+def test_extraction_equals_brute_force_greedy_oracle():
+    rng = np.random.default_rng(45)
+    block_ticks = 8000                       # 1 us blocks
+    # block 0 has a sparse receiver, block 1 a sparse local side, block 3
+    # is unlocked; blocks 0..2 share one offset
+    a_parts, b_parts = [], []
+    offsets = [40, 40, 40, -25, 13]
+    for k, (n_a, n_b) in enumerate([(250, 90), (90, 250), (200, 200), (150, 150), (120, 300)]):
+        lo = k * block_ticks
+        a = rng.integers(lo, lo + block_ticks, size=n_a)
+        paired = rng.choice(a, size=min(n_a, n_b) // 2, replace=False)
+        b = np.concatenate([paired + offsets[k] + rng.integers(-60, 61, size=len(paired)),
+                            rng.integers(lo, lo + block_ticks, size=n_b - len(paired))])
+        a_parts.append(a)
+        b_parts.append(b)
+    # one receiver tag is a candidate in both block 0 and block 1
+    boundary = block_ticks
+    a_parts.append(np.array([boundary - 5, boundary + 4]))
+    b_parts.append(np.array([boundary + offsets[0]]))
+    # two local tags on one tick, both paired
+    tie = 2 * block_ticks + 4321
+    a_parts.append(np.array([tie, tie]))
+    b_parts.append(np.array([tie + offsets[2] + 3, tie + offsets[2] - 9]))
+    a_ticks = np.sort(np.concatenate(a_parts))
+    b_ticks = np.sort(np.concatenate(b_parts))
+    # GPS markers are ignored by the pairing
+    markers = np.arange(0, 5 * block_ticks, 3000)
+    a_all = np.concatenate([a_ticks, markers])
+    b_all = np.concatenate([b_ticks, markers + 1])
+    a_order = np.argsort(a_all, kind="stable")
+    b_order = np.argsort(b_all, kind="stable")
+    a_chan = np.concatenate([rng.integers(0, 4, len(a_ticks)), np.full(len(markers), 15)])
+    b_chan = np.concatenate([rng.integers(0, 4, len(b_ticks)), np.full(len(markers), 15)])
+    alice = TagStream(Station.ALICE, a_all[a_order], a_chan[a_order].astype(np.uint8))
+    bob = TagStream(Station.BOB, b_all[b_order], b_chan[b_order].astype(np.uint8))
+
+    tick_s = block_ticks * TICK_SECONDS
+    blocks = [BlockStatus(k * tick_s, (k + 1) * tick_s, k != 3,
+                          offsets[k] * TICK_SECONDS, 0.0, 99.0, 0.0) for k in range(5)]
+    state = LockState(mode=LockMode.LOCKED, blocks=blocks)
+    cfg = CorrelatorConfig()
+    tau_ticks = int(round(cfg.coincidence_window / TICK_SECONDS))
+
+    rows = greedy_oracle(alice, bob, state, tau_ticks)
+    events = extract_coincidences(alice, bob, state, cfg)
+
+    a_det = alice.ticks[alice.detector_mask]
+    b_det = bob.ticks[bob.detector_mask]
+    shared = int(np.flatnonzero(b_det == boundary + offsets[0])[0])
+    assert sum(j == shared for _, j, _ in rows) == 1
+    assert len(events) == len(rows) > 100
+    assert events.alice_ticks.tolist() == [int(a_det[i]) for i, _, _ in rows]
+    assert events.bob_ticks.tolist() == [int(b_det[j]) for _, j, _ in rows]
+    assert events.alice_channels.tolist() == \
+        [int(alice.channels[alice.detector_mask][i]) for i, _, _ in rows]
+    assert events.bob_channels.tolist() == \
+        [int(bob.channels[bob.detector_mask][j]) for _, j, _ in rows]
+    assert events.residuals.tolist() == [d * TICK_SECONDS for _, _, d in rows]
+
+
 def test_streamed_chunks_equal_offline_results():
     alice, bob, *_ = _reference_run(15.0, 0.3, seed=38)
     offline_state, offline_events = run_offline(alice, bob)
@@ -319,6 +454,29 @@ def test_blocks_only_complete_once_data_has_arrived():
     assert len(pipeline.state.blocks) == 15
 
 
+@pytest.mark.parametrize("offset", [0.55, -0.7])
+def test_lock_when_markers_fold_the_offset_by_a_second(offset):
+    # markers read 0.55 s as -0.45 s and -0.7 s as 0.3 s
+    alice, bob, ca, cb = _reference_run(15.0, offset, seed=5)
+    assert abs(coarse_align_markers(alice, bob) - offset) == pytest.approx(1.0, abs=1e-3)
+    state, events = run_offline(alice, bob)
+    assert len(state.blocks) == 15
+    assert all(block.locked for block in state.blocks)
+    for block in state.blocks:
+        truth = relative_offset_at(ca, cb, 0.5 * (block.t_start + block.t_end))
+        assert abs(block.offset - truth) < 3.5e-9
+
+    pipeline = SyncPipeline(alice)
+    for start in range(0, len(bob.ticks), 4096):
+        pipeline.feed_bob(bob.ticks[start:start + 4096],
+                          bob.channels[start:start + 4096])
+    pipeline.finish()
+    assert pipeline.state.blocks == state.blocks
+    assert np.array_equal(pipeline.coincidences.alice_ticks, events.alice_ticks)
+    assert np.array_equal(pipeline.coincidences.bob_ticks, events.bob_ticks)
+    assert np.array_equal(pipeline.coincidences.residuals, events.residuals)
+
+
 def test_coincidence_log_round_trip(tmp_path):
     alice, bob, *_ = _reference_run(6.0, 0.05, seed=40)
     _, events = run_offline(alice, bob)
@@ -349,6 +507,24 @@ def test_coincidence_log_round_trip_is_exact_at_60_bit_ticks(tmp_path):
     assert np.array_equal(back.bob_ticks, events.bob_ticks)
     assert np.array_equal(back.bob_channels, events.bob_channels)
     assert np.allclose(back.residuals, events.residuals, atol=1e-13)
+
+
+def test_coincidence_log_bytes_equal_the_per_row_formatter(tmp_path):
+    from pairlock.sync import Coincidences
+    # residuals on .xxx5 ns rounding edges, 60-bit ticks
+    res_ns = np.array([0.0005, 0.0015, 0.0025, 1.0005, 2.6785, 6.9995, 0.125, 7.0])
+    a_ticks = (2**60 - 1) - np.arange(len(res_ns), dtype=np.int64)[::-1] * 977
+    events = Coincidences(a_ticks, np.arange(len(res_ns), dtype=np.uint8) % 4,
+                          a_ticks - 41, np.full(len(res_ns), 3, dtype=np.uint8),
+                          res_ns * 1e-9)
+    lines = ["alice_ticks,alice_channel,bob_ticks,bob_channel,residual_ns"]
+    res = events.residuals * 1e9
+    for i in range(len(events)):
+        lines.append(f"{events.alice_ticks[i]},{events.alice_channels[i]},"
+                     f"{events.bob_ticks[i]},{events.bob_channels[i]},{res[i]:.3f}")
+    path = tmp_path / "coinc.csv"
+    write_coincidence_log(path, events)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_empty_coincidence_log_round_trip(tmp_path):
