@@ -1,12 +1,19 @@
 """Clock recovery between two independently time-tagged stations.
 
+Tag times, block bounds, search windows and histogram bins are int64
+counts of 125 ps ticks, so results do not depend on where the epoch sits
+in the 60-bit counter. Floats carry only relative quantities (offsets,
+drift, the sub-tick centroid) and the seconds of the output records.
+CorrelatorConfig times are seconds, rounded to whole ticks once, when a
+pipeline is built.
+
 The receiver's stream is aligned to the local one in three steps:
 
-1. GPS markers, when both streams carry them, are paired by integer
-   second and their median local-time difference gives a coarse offset
-   good to the marker jitter (tens of ns). Without markers the search
-   falls back to a wide blind window.
-2. A two-stage cross-correlation of detection times (coarse bins over the
+1. GPS markers, when both streams carry them, are paired by whole second
+   counted from the first local marker, and their median difference gives
+   a coarse offset, modulo one second, good to the marker jitter (tens of
+   ns). Without markers the search falls back to a wide blind window.
+2. A two-stage cross-correlation of detection ticks (coarse bins over the
    search span, then fine bins around the coarse peak) finds the true
    offset. The peak is refined to a sub-bin centroid. Lock is declared
    when both stages clear the significance threshold.
@@ -25,13 +32,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum, auto
 from pathlib import Path
 
 import numpy as np
 
-from .timetags import (TICK_SECONDS, ChannelCode, Station, TagStream,
+from .timetags import (TICK_SECONDS, TICKS_PER_SECOND, ChannelCode, TagStream,
                        seconds_to_ticks, ticks_to_seconds)
 
 
@@ -58,7 +65,7 @@ class LockMode(Enum):
 
 @dataclass(frozen=True)
 class CorrelatorConfig:
-    """Tunables of the correlator and lock logic.
+    """Tunables of the correlator and lock logic; times in seconds.
 
     coincidence_window is the half-width tau of the pairing window, i.e.
     events match when |aligned difference| <= tau.
@@ -79,6 +86,8 @@ class CorrelatorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.fine_bin <= self.coincidence_window:
             raise ValueError("need 0 < fine_bin <= coincidence_window")
+        if seconds_to_ticks(self.fine_bin) < 1:
+            raise ValueError("fine_bin must round to at least one 125 ps tick")
         if not self.coincidence_window <= self.coarse_bin:
             raise ValueError("coincidence_window must not exceed coarse_bin")
         if not self.coarse_bin <= min(self.gps_search_span, self.blind_search_span):
@@ -89,6 +98,23 @@ class CorrelatorConfig:
             raise ValueError("acquisition_span must cover at least one block")
         if self.drift_window < 2 or self.drop_lock_after < 1 or self.reacquire_interval < 1:
             raise ValueError("window and retry counts must be positive")
+
+
+@dataclass(frozen=True)
+class _Ticks:
+    """The time-valued CorrelatorConfig fields in whole ticks."""
+
+    coincidence_window: int
+    fine_bin: int
+    coarse_bin: int
+    gps_search_span: int
+    blind_search_span: int
+    block_span: int
+    acquisition_span: int
+
+    @classmethod
+    def of(cls, cfg: CorrelatorConfig) -> "_Ticks":
+        return cls(**{f.name: seconds_to_ticks(getattr(cfg, f.name)) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -112,10 +138,11 @@ class OffsetEstimate:
 
 @dataclass(frozen=True)
 class BlockStatus:
-    """Outcome of one tracking block."""
+    """Outcome of one tracking block over local ticks [start_tick, end_tick);
+    offset and predicted in seconds, t_start and t_end the bounds in seconds."""
 
-    t_start: float
-    t_end: float
+    start_tick: int
+    end_tick: int
     locked: bool
     offset: float
     drift_rate: float
@@ -123,27 +150,39 @@ class BlockStatus:
     predicted: float
 
     @property
-    def span(self) -> float:
-        return self.t_end - self.t_start
+    def t_start(self) -> float:
+        return ticks_to_seconds(self.start_tick)
+
+    @property
+    def t_end(self) -> float:
+        return ticks_to_seconds(self.end_tick)
 
 
 @dataclass
 class LockState:
+    """Lock progress; history pairs each estimate with the local tick it
+    refers to."""
+
     mode: LockMode = LockMode.SEARCHING
     current: OffsetEstimate | None = None
     locked_seconds_total: float = 0.0
-    history: list[tuple[float, OffsetEstimate]] = field(default_factory=list)
+    history: list[tuple[int, OffsetEstimate]] = field(default_factory=list)
     blocks: list[BlockStatus] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
-class CorrelationResult:
-    """Histogram of pair time differences plus its peak summary."""
+class Correlogram:
+    """Histogram of pair tick differences plus its peak summary.
+
+    center, span and bin_width are ticks; bin k counts the differences in
+    center - span + [k * bin_width, (k + 1) * bin_width). peak_offset is
+    the middle of the peak bin, in ticks.
+    """
 
     histogram: np.ndarray
-    center: float
-    span: float
-    bin_width: float
+    center: int
+    span: int
+    bin_width: int
     n_alice: int
     n_bob: int
     expected_per_bin: float
@@ -151,10 +190,6 @@ class CorrelationResult:
     peak_count: int
     peak_offset: float
     significance: float
-
-    def bin_offsets(self) -> np.ndarray:
-        n = len(self.histogram)
-        return self.center - self.span + (np.arange(n) + 0.5) * self.bin_width
 
 
 _MAX_BINS = 20_000_000
@@ -172,40 +207,37 @@ def _expand_groups(lo: np.ndarray, counts: np.ndarray, ramp: np.ndarray) -> np.n
     return ramp[:n] + np.repeat(lo - (ends - counts), counts)
 
 
-def pair_difference_histogram(a_times: np.ndarray, b_times: np.ndarray,
-                              center: float, span: float, bin_width: float) -> np.ndarray:
-    """Histogram of all pairwise differences (b - a - center) over [-span, span).
+def pair_difference_histogram(a_ticks: np.ndarray, b_ticks: np.ndarray,
+                              center: int, span: int, bin_width: int) -> np.ndarray:
+    """Histogram of all pairwise tick differences b - a - center over [-span, span).
 
-    Equals the direct all-pairs histogram bin for bin: a pair contributes
-    to bin floor((d + span) / bin_width) when that index is in range. The
-    pairs are enumerated from the shorter array, whose every element
-    searches its partners in the longer one, in chunks of a few ten
-    thousand pairs; the arithmetic on each pair still matches the obvious
-    nested-loop reference operation for operation, so results agree
-    exactly, not just to rounding.
+    Inputs are sorted int64 ticks; center, span and bin_width are whole
+    ticks. A pair falls in bin (b - a - center + span) // bin_width; the
+    last bin is narrower when 2 * span is not a whole number of bins.
+    Integer arithmetic puts every pair in the same bin as the direct
+    all-pairs histogram. The pairs are enumerated from the shorter array,
+    whose every element searches its partners in the longer one, in
+    chunks of a few ten thousand pairs.
     """
-    n_bins = int(round(2.0 * span / bin_width))
+    n_bins = (2 * span + bin_width - 1) // bin_width
     if n_bins < 1 or n_bins > _MAX_BINS:
         raise ValueError(f"requested {n_bins} bins, supported range is 1..{_MAX_BINS}")
-    # Prefilter one bin wider than the span so that float rounding at the
-    # edges can never hide a pair the bin filter below would accept.
-    lo_shift = center - span - bin_width
-    hi_shift = center + span + bin_width
-    b_outer = len(b_times) < len(a_times)
+    lo_shift = center - span
+    hi_shift = center + span
+    b_outer = len(b_ticks) < len(a_ticks)
     if b_outer:
-        outer, inner = b_times, a_times
-        lo = np.searchsorted(a_times, b_times - hi_shift, side="right")
-        hi = np.searchsorted(a_times, b_times - lo_shift, side="right")
+        outer, inner = b_ticks, a_ticks
+        lo = np.searchsorted(a_ticks, b_ticks - hi_shift, side="right")
+        hi = np.searchsorted(a_ticks, b_ticks - lo_shift, side="right")
     else:
-        outer, inner = a_times, b_times
-        lo = np.searchsorted(b_times, a_times + lo_shift)
-        hi = np.searchsorted(b_times, a_times + hi_shift)
+        outer, inner = a_ticks, b_ticks
+        lo = np.searchsorted(b_ticks, a_ticks + lo_shift)
+        hi = np.searchsorted(b_ticks, a_ticks + hi_shift)
     counts = hi - lo
     groups = np.flatnonzero(counts)
-    # Clipped indices -1 and n_bins collect the pairs outside the span.
-    hist = np.zeros(n_bins + 2, dtype=np.int64)
+    hist = np.zeros(n_bins, dtype=np.int64)
     if len(groups) == 0:
-        return hist[1:-1]
+        return hist
     outer, lo, counts = outer[groups], lo[groups], counts[groups]
     ends = np.cumsum(counts)
     chunk = max(_CHUNK_PAIRS, 2 * n_bins)
@@ -222,76 +254,76 @@ def pair_difference_histogram(a_times: np.ndarray, b_times: np.ndarray,
         else:
             d = inner[idx]
             d -= np.repeat(outer[i:j], c)
-        d -= center
-        d += span
-        d /= bin_width
-        np.floor(d, out=d)
-        np.clip(d, -1, n_bins, out=d)
-        k = d.astype(np.intp)
-        k += 1
-        hist += np.bincount(k, minlength=n_bins + 2)
+        d -= lo_shift
+        d //= bin_width
+        hist += np.bincount(d, minlength=n_bins)
         i = j
-    return hist[1:-1]
+    return hist
 
 
-def cross_correlate(a_times: np.ndarray, b_times: np.ndarray, center: float,
-                    span: float, bin_width: float, *,
-                    expected_per_bin: float | None = None) -> CorrelationResult:
-    """Correlate two sorted detection-time arrays around a trial offset.
+def cross_correlate(a_ticks: np.ndarray, b_ticks: np.ndarray, center: int,
+                    span: int, bin_width: int, *,
+                    expected_per_bin: float | None = None) -> Correlogram:
+    """Correlate two sorted detection-tick arrays around a trial offset.
 
-    GPS markers must already be excluded. When expected_per_bin is not
-    given it is estimated as n_a * n_b * bin / T_overlap from the spans of
-    the inputs; callers correlating a pre-windowed slice should pass a
-    rate-based value instead.
+    All times are int64 ticks. GPS markers must already be excluded. When
+    expected_per_bin is not given it is estimated as n_a * n_b * bin /
+    T_overlap from the spans of the inputs; callers correlating a
+    pre-windowed slice should pass a rate-based value instead.
     """
-    if len(a_times) == 0 or len(b_times) == 0:
+    if len(a_ticks) == 0 or len(b_ticks) == 0:
         raise EmptyBlockError("cannot correlate an empty block")
-    hist = pair_difference_histogram(a_times, b_times, center, span, bin_width)
+    hist = pair_difference_histogram(a_ticks, b_ticks, center, span, bin_width)
     if expected_per_bin is None:
-        t_overlap = min(a_times[-1], b_times[-1] - center) \
-            - max(a_times[0], b_times[0] - center)
-        t_overlap = max(float(t_overlap), bin_width)
-        expected_per_bin = len(a_times) * len(b_times) * bin_width / t_overlap
+        t_overlap = min(int(a_ticks[-1]), int(b_ticks[-1]) - center) \
+            - max(int(a_ticks[0]), int(b_ticks[0]) - center)
+        t_overlap = max(t_overlap, bin_width)
+        expected_per_bin = len(a_ticks) * len(b_ticks) * bin_width / t_overlap
     peak_index = int(np.argmax(hist))
     peak_count = int(hist[peak_index])
     peak_offset = center - span + (peak_index + 0.5) * bin_width
     significance = peak_count / max(expected_per_bin, 1.0)
-    return CorrelationResult(hist, center, span, bin_width, len(a_times), len(b_times),
-                             float(expected_per_bin), peak_index, peak_count,
-                             float(peak_offset), float(significance))
+    return Correlogram(hist, center, span, bin_width, len(a_ticks), len(b_ticks),
+                       float(expected_per_bin), peak_index, peak_count,
+                       float(peak_offset), float(significance))
 
 
 def _marker_offset(markers_a: np.ndarray, markers_b: np.ndarray) -> float | None:
-    """Median receiver-minus-local difference of GPS markers paired by
-    integer second, or None when no second has a marker in both."""
-    key_a = np.rint(markers_a).astype(np.int64)
-    key_b = np.rint(markers_b).astype(np.int64)
-    _, idx_a, idx_b = np.intersect1d(key_a, key_b, return_indices=True)
+    """Median receiver-minus-local tick difference of GPS markers paired by
+    whole second counted from the first local marker, or None when no
+    second has a marker at both stations."""
+    if len(markers_a) == 0:
+        return None
+    # Flooring after a half-second shift rounds to the nearest second.
+    ref = int(markers_a[0]) - TICKS_PER_SECOND // 2
+    _, idx_a, idx_b = np.intersect1d((markers_a - ref) // TICKS_PER_SECOND,
+                                     (markers_b - ref) // TICKS_PER_SECOND,
+                                     return_indices=True)
     if len(idx_a) == 0:
         return None
     return float(np.median(markers_b[idx_b] - markers_a[idx_a]))
 
 
 def coarse_align_markers(alice: TagStream, bob: TagStream) -> float:
-    """Median receiver-minus-local difference of matching GPS markers.
+    """Median receiver-minus-local difference (s) of matching GPS markers.
 
-    Markers are paired by each station's rounded second, so the result is
-    the offset modulo one second, folded into about [-0.5, 0.5) s: a true
-    offset of 0.7 s reads as -0.3 s. Acquisition therefore also searches
-    one second either side of it.
+    Markers are paired by whole second since Alice's first marker, so the
+    result is the offset modulo one second, folded into about
+    [-0.5, 0.5) s: a true offset of 0.7 s reads as -0.3 s. Acquisition
+    therefore also searches one second either side of it.
     """
-    ma = alice.marker_seconds()
-    mb = bob.marker_seconds()
+    ma = alice.ticks[~alice.detector_mask]
+    mb = bob.ticks[~bob.detector_mask]
     if len(ma) == 0 or len(mb) == 0:
         raise NoMarkersError("both streams need GPS markers for coarse alignment")
     offset = _marker_offset(ma, mb)
     if offset is None:
-        raise NoMarkersError("no GPS markers share an integer second")
-    return offset
+        raise NoMarkersError("no GPS markers share a second")
+    return ticks_to_seconds(offset)
 
 
-def _centroid(corr: CorrelationResult, half_width_bins: int = 3) -> float:
-    """Sub-bin peak position from a local weighted mean."""
+def _centroid(corr: Correlogram, half_width_bins: int = 3) -> float:
+    """Sub-bin peak position (ticks) from a local weighted mean."""
     lo = max(0, corr.peak_index - half_width_bins)
     hi = min(len(corr.histogram), corr.peak_index + half_width_bins + 1)
     weights = corr.histogram[lo:hi].astype(np.float64)
@@ -300,6 +332,11 @@ def _centroid(corr: CorrelationResult, half_width_bins: int = 3) -> float:
         return corr.peak_offset
     centers = corr.center - corr.span + (np.arange(lo, hi) + 0.5) * corr.bin_width
     return float((weights * centers).sum() / total)
+
+
+def _between(ticks: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The part of a sorted tick array in [lo, hi)."""
+    return ticks[np.searchsorted(ticks, lo):np.searchsorted(ticks, hi)]
 
 
 class _Appendable:
@@ -330,6 +367,39 @@ class _Appendable:
         return self._buf[:self._n]
 
 
+class _Detections:
+    """One station's tags as stored by the engine: detector ticks, their
+    channels and the GPS marker ticks, each append-only. Markers are
+    split off once, as a chunk is appended; a chunk without markers is
+    appended as it is."""
+
+    def __init__(self):
+        self._ticks = _Appendable(np.int64)
+        self._channels = _Appendable(np.uint8)
+        self._markers = _Appendable(np.int64)
+
+    def append(self, ticks: np.ndarray, channels: np.ndarray) -> None:
+        marker = channels == int(ChannelCode.GPS_MARKER)
+        if marker.any():
+            self._markers.append(ticks[marker])
+            detector = ~marker
+            ticks, channels = ticks[detector], channels[detector]
+        self._ticks.append(ticks)
+        self._channels.append(channels)
+
+    @property
+    def ticks(self) -> np.ndarray:
+        return self._ticks.view()
+
+    @property
+    def channels(self) -> np.ndarray:
+        return self._channels.view()
+
+    @property
+    def markers(self) -> np.ndarray:
+        return self._markers.view()
+
+
 class SyncPipeline:
     """The block-serial lock engine.
 
@@ -340,36 +410,33 @@ class SyncPipeline:
     the remaining blocks and extracts the coincidences. run_offline is one
     feed of the whole receiver stream followed by finish().
 
-    Each receiver chunk is converted once, on arrival: its ticks and
-    channels are appended as they are, its detector and marker times as
-    seconds, so no feed touches data that arrived before it.
+    Each station's tags are split once, on arrival, into detector ticks,
+    detector channels and marker ticks; correlation, tracking and
+    extraction all read those stores, so no feed touches data that
+    arrived before it.
     """
 
     def __init__(self, alice: TagStream, cfg: CorrelatorConfig | None = None):
         self.cfg = cfg = cfg or CorrelatorConfig()
         if len(alice) == 0:
             raise EmptyBlockError("local stream is empty")
-        self._alice = alice
-        self._a_det = alice.detector_seconds()
-        self._a_mark = alice.marker_seconds()
-        self._t_origin = ticks_to_seconds(int(alice.ticks[0]))
-        self._t_end = ticks_to_seconds(int(alice.ticks[-1]))
+        self._tk = tk = _Ticks.of(cfg)
+        self._alice = _Detections()
+        self._alice.append(alice.ticks, alice.channels)
+        self._bob = _Detections()
+        self._b_last: int | None = None
+        self._origin = int(alice.ticks[0])
+        self._end = int(alice.ticks[-1])
         self.state = LockState()
-        self._b_ticks = _Appendable(np.int64)
-        self._b_channels = _Appendable(np.uint8)
-        self._b_det = _Appendable(np.float64)
-        self._b_mark = _Appendable(np.float64)
         self._b_finished = False
         self._events: Coincidences | None = None
         self._next_block = 0
         self._fails = 0
         self._last_attempt: int | None = None
-        span_total = self._t_end - self._t_origin
-        n_full = int(span_total // cfg.block_span)
-        trailing = span_total - n_full * cfg.block_span
+        n_full, trailing = divmod(self._end - self._origin, tk.block_span)
         if n_full == 0:
             self._n_blocks = 1
-        elif trailing >= max(0.05 * cfg.block_span, 2.0 * cfg.coincidence_window):
+        elif trailing >= max(tk.block_span / 20, 2 * tk.coincidence_window):
             self._n_blocks = n_full + 1
         else:
             self._n_blocks = n_full
@@ -387,9 +454,7 @@ class SyncPipeline:
         extract the coincidences of the whole run."""
         self._b_finished = True
         done = self._advance()
-        bob = TagStream(Station.BOB, self._b_ticks.view(), self._b_channels.view(),
-                        self._alice.epoch_label)
-        self._events = extract_coincidences(self._alice, bob, self.state, self.cfg)
+        self._events = extract_coincidences(self._alice, self._bob, self.state, self.cfg)
         return done
 
     @property
@@ -403,98 +468,96 @@ class SyncPipeline:
             return
         if self._b_finished:
             raise ValueError("receiver stream already finished")
-        stored = self._b_ticks.view()
-        if len(stored) and ticks[0] < stored[-1]:
+        if self._b_last is not None and ticks[0] < self._b_last:
             raise ValueError("receiver chunks must arrive in time order")
-        ticks = np.asarray(ticks, dtype=np.int64)
-        channels = np.asarray(channels, dtype=np.uint8)
-        marker = channels == int(ChannelCode.GPS_MARKER)
-        self._b_ticks.append(ticks)
-        self._b_channels.append(channels)
-        self._b_det.append(ticks_to_seconds(ticks[~marker]))
-        self._b_mark.append(ticks_to_seconds(ticks[marker]))
+        self._bob.append(np.asarray(ticks, dtype=np.int64),
+                         np.asarray(channels, dtype=np.uint8))
+        self._b_last = int(ticks[-1])
 
-    def _block_bounds(self, i: int) -> tuple[float, float]:
-        start = self._t_origin + i * self.cfg.block_span
+    def _block_bounds(self, i: int) -> tuple[int, int]:
+        start = self._origin + i * self._tk.block_span
         if i == self._n_blocks - 1:
-            return start, self._t_end + 1e-9
-        return start, start + self.cfg.block_span
+            return start, self._end + 1
+        return start, start + self._tk.block_span
 
-    def _data_ready(self, t_start: float, t_end: float) -> bool:
+    def _data_ready(self, start: int, end: int) -> bool:
         if self._b_finished:
             return True
-        stored = self._b_ticks.view()
-        if len(stored) == 0:
+        if self._b_last is None:
             return False
-        cfg = self.cfg
+        tk = self._tk
         if self.state.current is None or self.state.mode is LockMode.SEARCHING:
-            need = min(max(t_end, t_start + cfg.acquisition_span), self._t_end) \
-                + cfg.blind_search_span + 1.5
+            need = min(max(end, start + tk.acquisition_span), self._end) \
+                + tk.blind_search_span
         else:
-            need = t_end + abs(self.state.current.offset) + 1.5
-        return ticks_to_seconds(int(stored[-1])) >= need
+            need = end + math.ceil(abs(self.state.current.offset) * TICKS_PER_SECOND)
+        return self._b_last >= need + 3 * TICKS_PER_SECOND // 2
 
     def _advance(self) -> list[BlockStatus]:
         """Process all blocks whose receiver data is available."""
         done: list[BlockStatus] = []
         while self._next_block < self._n_blocks:
-            t_start, t_end = self._block_bounds(self._next_block)
-            if not self._data_ready(t_start, t_end):
+            start, end = self._block_bounds(self._next_block)
+            if not self._data_ready(start, end):
                 break
-            done.append(self._process_block(self._next_block, t_start, t_end))
+            done.append(self._process_block(self._next_block, start, end))
             self._next_block += 1
         return done
 
-    def _bob_local_rate(self, lo: float, hi: float) -> float:
-        """Detector rate of the receiver around a local window (tags/s)."""
-        b_det = self._b_det.view()
-        pad = 0.5
-        n = np.searchsorted(b_det, hi + pad) - np.searchsorted(b_det, lo - pad)
-        return float(n) / (hi - lo + 2 * pad)
+    def _bob_local_rate(self, lo: int, hi: int) -> float:
+        """Detector rate of the receiver around a window (tags per tick)."""
+        pad = TICKS_PER_SECOND // 2
+        return len(_between(self._bob.ticks, lo - pad, hi + pad)) / (hi - lo + 2 * pad)
 
-    def _process_block(self, i: int, t_start: float, t_end: float) -> BlockStatus:
+    def _predict(self, tick: int) -> float:
+        """Offset (s) the current estimate predicts at a local tick."""
+        anchor, est = self.state.history[-1]
+        return est.offset + est.drift_rate * ticks_to_seconds(tick - anchor)
+
+    def _process_block(self, i: int, start: int, end: int) -> BlockStatus:
         cfg = self.cfg
-        mid = 0.5 * (t_start + t_end)
+        mid = (start + end) // 2
         searching = self.state.current is None or self.state.mode is LockMode.SEARCHING
         if searching:
             due = self._last_attempt is None \
                 or i - self._last_attempt >= cfg.reacquire_interval
             if due:
                 self._last_attempt = i
-                est = self._attempt_acquire(t_start)
-                if est is not None:
-                    self.state.current = est
+                acquired = self._attempt_acquire(start)
+                if acquired is not None:
+                    self.state.current = acquired[1]
                     self.state.mode = LockMode.LOCKED
-                    self.state.history = [(est.valid_from, est)]
+                    self.state.history = [acquired]
                     self._fails = 0
 
         if self.state.current is None:
-            status = BlockStatus(t_start, t_end, False, math.nan, 0.0, 0.0, math.nan)
+            status = BlockStatus(start, end, False, math.nan, 0.0, 0.0, math.nan)
             self.state.blocks.append(status)
             return status
 
         est = self.state.current
-        predicted = est.predict(mid)
-        measured, significance = self._fine_measure(t_start, t_end, predicted)
+        predicted = self._predict(mid)
+        measured, significance = self._fine_measure(start, end, predicted)
         locked = significance >= cfg.lock_threshold
         if locked:
-            updated = OffsetEstimate(measured, est.drift_rate, significance, mid)
+            updated = OffsetEstimate(measured, est.drift_rate, significance,
+                                     ticks_to_seconds(mid))
             self.state.history.append((mid, updated))
             drift = self._refit_drift()
             updated = replace(updated, drift_rate=drift)
             self.state.history[-1] = (mid, updated)
             self.state.current = updated
             self.state.mode = LockMode.LOCKED
-            self.state.locked_seconds_total += t_end - t_start
+            self.state.locked_seconds_total += ticks_to_seconds(end - start)
             self._fails = 0
-            status = BlockStatus(t_start, t_end, True, measured, drift,
+            status = BlockStatus(start, end, True, measured, drift,
                                  significance, predicted)
         else:
             self._fails += 1
             if self._fails >= cfg.drop_lock_after and self.state.mode is LockMode.LOCKED:
                 self.state.mode = LockMode.SEARCHING
                 self._last_attempt = i
-            status = BlockStatus(t_start, t_end, False, predicted,
+            status = BlockStatus(start, end, False, predicted,
                                  est.drift_rate, significance, predicted)
         self.state.blocks.append(status)
         return status
@@ -503,7 +566,8 @@ class SyncPipeline:
         pts = self.state.history[-self.cfg.drift_window:]
         if len(pts) < 3:
             return 0.0
-        t = np.array([p[0] for p in pts])
+        # Tick differences are exact, so the fit does not see the epoch.
+        t = ticks_to_seconds(np.array([p[0] for p in pts], dtype=np.int64) - pts[0][0])
         offsets = np.array([p[1].offset for p in pts])
         t_c = t - t.mean()
         denom = float((t_c * t_c).sum())
@@ -511,88 +575,81 @@ class SyncPipeline:
             return 0.0
         return float((t_c * offsets).sum() / denom)
 
-    def _fine_measure(self, t_start: float, t_end: float,
-                      predicted: float) -> tuple[float, float]:
-        """Fine correlation of one block around a predicted offset."""
-        cfg = self.cfg
-        a0 = np.searchsorted(self._a_det, t_start)
-        a1 = np.searchsorted(self._a_det, t_end)
-        a_slice = self._a_det[a0:a1]
+    def _fine_measure(self, start: int, end: int, predicted: float) -> tuple[float, float]:
+        """Fine correlation of one block around a predicted offset (s)."""
+        tk = self._tk
+        a_slice = _between(self._alice.ticks, start, end)
         if len(a_slice) == 0:
             return math.nan, 0.0
-        span = 2.0 * cfg.coarse_bin
-        pad = cfg.coarse_bin + cfg.coincidence_window
-        b_det = self._b_det.view()
-        b0 = np.searchsorted(b_det, t_start + predicted - span - pad)
-        b1 = np.searchsorted(b_det, t_end + predicted + span + pad)
-        b_slice = b_det[b0:b1]
+        center = seconds_to_ticks(predicted)
+        span = 2 * tk.coarse_bin
+        pad = tk.coarse_bin + tk.coincidence_window
+        b_slice = _between(self._bob.ticks, start + center - span - pad,
+                           end + center + span + pad)
         if len(b_slice) == 0:
             return math.nan, 0.0
-        rate_b = self._bob_local_rate(t_start + predicted, t_end + predicted)
-        expected = len(a_slice) * rate_b * cfg.fine_bin
-        corr = cross_correlate(a_slice, b_slice, predicted, span, cfg.fine_bin,
-                               expected_per_bin=expected)
-        return _centroid(corr), corr.significance
+        rate_b = self._bob_local_rate(start + center, end + center)
+        corr = cross_correlate(a_slice, b_slice, center, span, tk.fine_bin,
+                               expected_per_bin=len(a_slice) * rate_b * tk.fine_bin)
+        return ticks_to_seconds(_centroid(corr)), corr.significance
 
-    def _attempt_acquire(self, t_start: float) -> OffsetEstimate | None:
-        """Two-stage acquisition over a window starting at t_start."""
-        cfg = self.cfg
-        t_stop = min(t_start + cfg.acquisition_span, self._t_end)
-        if t_stop - t_start < cfg.block_span:
+    def _attempt_acquire(self, start: int) -> tuple[int, OffsetEstimate] | None:
+        """Two-stage acquisition over a window starting at a local tick;
+        the estimate and the tick it refers to, or None."""
+        tk = self._tk
+        stop = min(start + tk.acquisition_span, self._end)
+        if stop - start < tk.block_span:
             return None
-        a0 = np.searchsorted(self._a_det, t_start)
-        a1 = np.searchsorted(self._a_det, t_stop)
-        a_slice = self._a_det[a0:a1]
-        b_det = self._b_det.view()
-        if len(a_slice) == 0 or len(b_det) == 0:
+        a_slice = _between(self._alice.ticks, start, stop)
+        if len(a_slice) == 0 or len(self._bob.ticks) == 0:
             return None
 
-        m0 = np.searchsorted(self._a_mark, t_start)
-        m1 = np.searchsorted(self._a_mark, t_stop)
-        center = _marker_offset(self._a_mark[m0:m1], self._b_mark.view())
+        center = _marker_offset(_between(self._alice.markers, start, stop),
+                                self._bob.markers)
         if center is None:
-            return self._two_stage(a_slice, t_start, t_stop, 0.0, cfg.blind_search_span)
-        # Markers fix the offset only modulo one second (see
-        # coarse_align_markers), so the neighbouring seconds are tried next.
-        for trial in (center, center + 1.0, center - 1.0):
-            est = self._two_stage(a_slice, t_start, t_stop, trial, cfg.gps_search_span)
-            if est is not None:
-                return est
-        return None
+            found = self._two_stage(a_slice, start, stop, 0, tk.blind_search_span)
+        else:
+            # Markers fix the offset only modulo one second (see
+            # coarse_align_markers), so the neighbouring seconds are tried next.
+            center = round(center)
+            for trial in (center, center + TICKS_PER_SECOND, center - TICKS_PER_SECOND):
+                found = self._two_stage(a_slice, start, stop, trial, tk.gps_search_span)
+                if found is not None:
+                    break
+        if found is None:
+            return None
+        anchor = (start + stop) // 2
+        offset, significance = found
+        return anchor, OffsetEstimate(offset, 0.0, significance, ticks_to_seconds(anchor))
 
-    def _two_stage(self, a_slice: np.ndarray, t_start: float, t_stop: float,
-                   center: float, span: float) -> OffsetEstimate | None:
-        """Coarse search of +-span around center, then the fine stage
-        around the coarse peak; None unless both clear the threshold."""
-        cfg = self.cfg
-        b_det = self._b_det.view()
-        pad = 2.0 * cfg.coarse_bin
-        b0 = np.searchsorted(b_det, t_start + center - span - pad)
-        b1 = np.searchsorted(b_det, t_stop + center + span + pad)
-        b_slice = b_det[b0:b1]
+    def _two_stage(self, a_slice: np.ndarray, start: int, stop: int,
+                   center: int, span: int) -> tuple[float, float] | None:
+        """Coarse search of +-span ticks around center, then the fine stage
+        around the coarse peak; the offset (s) and its significance, or
+        None unless both stages clear the threshold."""
+        cfg, tk = self.cfg, self._tk
+        pad = 2 * tk.coarse_bin
+        b_slice = _between(self._bob.ticks, start + center - span - pad,
+                           stop + center + span + pad)
         if len(b_slice) == 0:
             return None
-        t_window = t_stop - t_start
-        rate_b = len(b_slice) / max(t_window + 2.0 * span, cfg.block_span)
-        coarse = cross_correlate(a_slice, b_slice, center, span, cfg.coarse_bin,
-                                 expected_per_bin=len(a_slice) * rate_b * cfg.coarse_bin)
+        rate_b = len(b_slice) / max(stop - start + 2 * span, tk.block_span)
+        coarse = cross_correlate(a_slice, b_slice, center, span, tk.coarse_bin,
+                                 expected_per_bin=len(a_slice) * rate_b * tk.coarse_bin)
         if coarse.significance < cfg.lock_threshold:
             return None
 
-        fine_span = 2.0 * cfg.coarse_bin
-        f0 = np.searchsorted(b_det, t_start + coarse.peak_offset - fine_span - pad)
-        f1 = np.searchsorted(b_det, t_stop + coarse.peak_offset + fine_span + pad)
-        b_fine = b_det[f0:f1]
+        fine_center = round(coarse.peak_offset)
+        fine_span = 2 * tk.coarse_bin
+        b_fine = _between(self._bob.ticks, start + fine_center - fine_span - pad,
+                          stop + fine_center + fine_span + pad)
         if len(b_fine) == 0:
             return None
-        fine = cross_correlate(a_slice, b_fine, coarse.peak_offset, fine_span,
-                               cfg.fine_bin,
-                               expected_per_bin=len(a_slice) * rate_b * cfg.fine_bin)
+        fine = cross_correlate(a_slice, b_fine, fine_center, fine_span, tk.fine_bin,
+                               expected_per_bin=len(a_slice) * rate_b * tk.fine_bin)
         if fine.significance < cfg.lock_threshold:
             return None
-        offset = _centroid(fine)
-        return OffsetEstimate(offset, 0.0, fine.significance,
-                              valid_from=0.5 * (t_start + t_stop))
+        return ticks_to_seconds(_centroid(fine)), fine.significance
 
 
 def acquire_lock(alice: TagStream, bob: TagStream,
@@ -604,11 +661,10 @@ def acquire_lock(alice: TagStream, bob: TagStream,
     """
     pipeline = SyncPipeline(alice, cfg)
     pipeline._receive(bob.ticks, bob.channels)
-    est = pipeline._attempt_acquire(pipeline._t_origin)
-    if est is None:
+    acquired = pipeline._attempt_acquire(pipeline._origin)
+    if acquired is None:
         raise NoLockError("no correlation peak above threshold")
-    return LockState(mode=LockMode.LOCKED, current=est,
-                     history=[(est.valid_from, est)])
+    return LockState(mode=LockMode.LOCKED, current=acquired[1], history=[acquired])
 
 
 @dataclass
@@ -631,15 +687,17 @@ class Coincidences:
         return len(self.alice_ticks)
 
 
-def extract_coincidences(alice: TagStream, bob: TagStream, state: LockState,
+def extract_coincidences(alice: TagStream | _Detections, bob: TagStream | _Detections,
+                         state: LockState,
                          cfg: CorrelatorConfig | None = None) -> Coincidences:
     """Pair detector tags inside locked blocks.
 
-    Candidates within the window are accepted greedily in order of
-    residual (ties broken by earlier local, then receiver, tick), each tag
-    at most once. Working in integer ticks with the block offset rounded
-    to the nearest tick makes the window edge exact: a pair at exactly tau
-    is in, one tick beyond is out.
+    alice and bob are tag streams, or the engine's stores of detector
+    tags; GPS markers never pair. Candidates within the window are
+    accepted greedily in order of residual (ties broken by earlier local,
+    then receiver, tick), each tag at most once. Working in integer ticks
+    with the block offset rounded to the nearest tick makes the window
+    edge exact: a pair at exactly tau is in, one tick beyond is out.
 
     A candidate that shares neither tag with another candidate of its
     block, and whose receiver tag no earlier block took, wins whatever
@@ -647,26 +705,21 @@ def extract_coincidences(alice: TagStream, bob: TagStream, state: LockState,
     loop; the result is the same as running it over all of them.
     """
     cfg = cfg or CorrelatorConfig()
-    a_mask = alice.detector_mask
-    a_ticks = alice.ticks[a_mask]
-    a_chans = alice.channels[a_mask]
-    b_mask = bob.detector_mask
-    b_ticks = bob.ticks[b_mask]
-    b_chans = bob.channels[b_mask]
-    tau_ticks = int(round(cfg.coincidence_window / TICK_SECONDS))
+    a_ticks, a_chans = alice.ticks, alice.channels
+    b_ticks, b_chans = bob.ticks, bob.channels
+    marker = int(ChannelCode.GPS_MARKER)
+    tau_ticks = seconds_to_ticks(cfg.coincidence_window)
     used_b = np.zeros(len(b_ticks), dtype=bool)
 
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for block in state.blocks:
         if not block.locked:
             continue
-        s_tick = seconds_to_ticks(block.t_start)
-        e_tick = seconds_to_ticks(block.t_end)
-        a0 = int(np.searchsorted(a_ticks, s_tick))
-        a1 = int(np.searchsorted(a_ticks, e_tick))
+        a0 = int(np.searchsorted(a_ticks, block.start_tick))
+        a1 = int(np.searchsorted(a_ticks, block.end_tick))
         if a1 <= a0:
             continue
-        off_ticks = int(round(block.offset / TICK_SECONDS))
+        off_ticks = seconds_to_ticks(block.offset)
         # Candidate pairs: off - tau <= b - a <= off + tau, searched from
         # the side with fewer tags in the block's window.
         a_blk = a_ticks[a0:a1]
@@ -686,9 +739,9 @@ def extract_coincidences(alice: TagStream, bob: TagStream, state: LockState,
         outer = np.repeat(np.arange(outer0, outer1, dtype=np.int64), counts)
         inner = inner0 + _expand_groups(lo, counts, np.arange(len(outer), dtype=np.int64))
         cand_a, cand_b = (inner, outer) if b_side else (outer, inner)
-        # A receiver tag an earlier block took is skipped by the greedy
-        # pass without effect on any other candidate.
-        open_b = ~used_b[cand_b]
+        # Marker candidates go; a receiver tag an earlier block took is
+        # skipped by the greedy pass without effect on any other candidate.
+        open_b = ~used_b[cand_b] & (a_chans[cand_a] != marker) & (b_chans[cand_b] != marker)
         cand_a, cand_b = cand_a[open_b], cand_b[open_b]
         if len(cand_a) == 0:
             continue

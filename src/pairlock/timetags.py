@@ -76,10 +76,6 @@ class TimeTag:
         if int(self.channel) not in _VALID_CODES:
             raise InvalidChannelError(f"channel code {self.channel} is not assigned")
 
-    @property
-    def seconds(self) -> float:
-        return ticks_to_seconds(self.ticks)
-
 
 def ticks_to_seconds(ticks):
     """Convert 125 ps ticks to seconds.
@@ -96,6 +92,11 @@ def seconds_to_ticks(seconds):
     if isinstance(seconds, np.ndarray):
         return np.rint(seconds * TICKS_PER_SECOND).astype(np.int64)
     return int(round(seconds * TICKS_PER_SECOND))
+
+
+def _unassigned(channels: np.ndarray) -> np.ndarray:
+    """Mask of the codes with no meaning: above the detectors, not a marker."""
+    return (channels > int(ChannelCode.CH3)) & (channels != int(ChannelCode.GPS_MARKER))
 
 
 def encode_tag(tag: TimeTag) -> int:
@@ -121,7 +122,7 @@ def encode_words(ticks: np.ndarray, channels: np.ndarray) -> np.ndarray:
 def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vector form of decode_tag, returns (ticks int64, channels uint8)."""
     channels = (words & np.uint64(0xF)).astype(np.uint8)
-    bad = ~np.isin(channels, np.array(sorted(_VALID_CODES), dtype=np.uint8))
+    bad = _unassigned(channels)
     if bad.any():
         first = int(channels[bad][0])
         raise InvalidChannelError(f"channel nibble {first:#x} is not assigned")
@@ -151,10 +152,9 @@ class TagStream:
             raise ValueError("ticks and channels must be matching 1-d arrays")
         if len(ticks) and (ticks[0] < 0 or ticks[-1] >= MAX_TICKS):
             raise ValueError("tick values outside the 60-bit range")
-        if len(ticks) > 1 and np.any(np.diff(ticks) < 0):
+        if np.any(ticks[1:] < ticks[:-1]):
             raise ValueError("tags must be sorted by ticks")
-        bad = ~np.isin(channels, np.array(sorted(_VALID_CODES), dtype=np.uint8))
-        if bad.any():
+        if _unassigned(channels).any():
             raise InvalidChannelError("stream contains unassigned channel codes")
         object.__setattr__(self, "ticks", ticks)
         object.__setattr__(self, "channels", channels)
@@ -172,10 +172,6 @@ class TagStream:
     @property
     def detector_mask(self) -> np.ndarray:
         return self.channels != int(ChannelCode.GPS_MARKER)
-
-    def detector_seconds(self) -> np.ndarray:
-        """Detection times in seconds, GPS markers removed."""
-        return ticks_to_seconds(self.ticks[self.detector_mask])
 
     def detector_channels(self) -> np.ndarray:
         return self.channels[self.detector_mask]
@@ -228,6 +224,7 @@ def read_tagfile(path: str | Path) -> TagStream:
         raise TagFileError(f"{path}: expected {count} tags, found {body_size // 8}")
     words = np.frombuffer(raw, dtype="<u8", count=count, offset=_HEADER.size)
     ticks, channels = decode_words(words)
-    if len(ticks) > 1 and np.any(np.diff(ticks) < 0):
-        raise TagFileError(f"{path}: tags are not sorted")
-    return TagStream(Station(station), ticks, channels, epoch_label=path.stem)
+    try:
+        return TagStream(Station(station), ticks, channels, epoch_label=path.stem)
+    except ValueError as exc:
+        raise TagFileError(f"{path}: {exc}") from exc

@@ -47,7 +47,7 @@ from pairlock.sync import (
     write_coincidence_log,
     write_lock_timeline,
 )
-from pairlock.timetags import Station, decode_words, encode_words
+from pairlock.timetags import Station, decode_words, encode_words, seconds_to_ticks
 from pairlock.transport import ReceiverServer, send_words
 
 # ---------------------------------------------------------------- criterion 1
@@ -233,10 +233,10 @@ CRIT6 = pytest.mark.acceptance(6, "bit-exact agreement with brute-force oracles"
 
 
 def _outer_histogram(a, b, center, span, bin_width):
-    """All-pairs reference histogram via a dense difference matrix."""
-    n_bins = int(round(2.0 * span / bin_width))
+    """All-pairs reference histogram via a dense difference matrix (ticks)."""
+    n_bins = 2 * span // bin_width
     d = (b[:, None] - a[None, :]) - center
-    k = np.floor((d + span) / bin_width).astype(np.int64).ravel()
+    k = ((d + span) // bin_width).ravel()
     k = k[(k >= 0) & (k < n_bins)]
     return np.bincount(k, minlength=n_bins)
 
@@ -244,13 +244,13 @@ def _outer_histogram(a, b, center, span, bin_width):
 @CRIT6
 def test_correlator_equals_all_pairs_histogram():
     rng = np.random.default_rng(606)
-    bins = [1e-7, 1e-8, 2.5e-9]
+    bins = [800, 80, 20]                       # 100, 10 and 2.5 ns
     for trial in range(200):
         n_a = int(rng.integers(1, 2001))
         n_b = int(rng.integers(1, 2001))
-        a = np.sort(rng.uniform(0.0, 1e-2, n_a))
-        b = np.sort(rng.uniform(0.0, 1e-2, n_b))
-        center = float(rng.uniform(-1e-4, 1e-4))
+        a = np.sort(rng.integers(0, 80_000_000, n_a))      # 10 ms of ticks
+        b = np.sort(rng.integers(0, 80_000_000, n_b))
+        center = int(rng.integers(-800_000, 800_001))      # +-100 us
         bin_width = bins[trial % len(bins)]
         span = bin_width * int(rng.integers(10, 200))
         corr = cross_correlate(a, b, center, span, bin_width)
@@ -301,7 +301,8 @@ def test_accidental_rate_in_a_side_window():
     alice, bob = generate_streams(duration, link, ca, cb,
                                   pol=reference_polarization(), seed=909)
     probe_offset = 2e-6
-    block = BlockStatus(0.0, duration, True, probe_offset, 0.0, 99.0, probe_offset)
+    block = BlockStatus(0, seconds_to_ticks(duration), True, probe_offset, 0.0, 99.0,
+                        probe_offset)
     state = LockState(mode=LockMode.LOCKED,
                       current=OffsetEstimate(probe_offset, 0.0, 99.0, 0.0),
                       blocks=[block])

@@ -1,4 +1,4 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,34 +37,50 @@ from pairlock.sync import (
 from pairlock.timetags import TICK_SECONDS, Station, TagStream, seconds_to_ticks
 
 
-def slow_histogram(a_times, b_times, center, span, bin_width):
-    """Nested-loop reference for the pair-difference histogram."""
-    n_bins = int(round(2.0 * span / bin_width))
+def slow_histogram(a_ticks, b_ticks, center, span, bin_width):
+    """Nested-loop reference for the pair-difference histogram, in ticks."""
+    n_bins = 2 * span // bin_width
     hist = np.zeros(n_bins, dtype=np.int64)
-    for a in a_times:
-        for b in b_times:
+    for a in a_ticks.tolist():
+        for b in b_ticks.tolist():
             d = (b - a) - center
-            k = math.floor((d + span) / bin_width)
+            k = (d + span) // bin_width
             if 0 <= k < n_bins:
                 hist[k] += 1
     return hist
 
 
+def _sorted_ticks(rng, hi, size):
+    return np.sort(rng.integers(0, hi, size=size))
+
+
 def test_histogram_matches_nested_loop_reference():
     rng = np.random.default_rng(21)
     for _ in range(5):
-        a = np.sort(rng.uniform(0.0, 1e-3, size=60))
-        b = np.sort(rng.uniform(0.0, 1e-3, size=80))
-        center = rng.uniform(-1e-5, 1e-5)
-        hist = pair_difference_histogram(a, b, center, 2e-5, 1e-7)
-        assert np.array_equal(hist, slow_histogram(a, b, center, 2e-5, 1e-7))
+        a = _sorted_ticks(rng, 8_000_000, 60)          # 1 ms
+        b = _sorted_ticks(rng, 8_000_000, 80)
+        center = int(rng.integers(-80_000, 80_000))    # +-10 us
+        hist = pair_difference_histogram(a, b, center, 160_000, 800)
+        assert np.array_equal(hist, slow_histogram(a, b, center, 160_000, 800))
 
 
 def test_histogram_counts_every_pair_once_when_span_covers_all():
-    a = np.array([0.0, 1e-6, 2e-6])
-    b = np.array([0.5e-6, 1.5e-6])
-    hist = pair_difference_histogram(a, b, 0.0, 1e-5, 1e-7)
+    a = np.array([0, 8000, 16000])
+    b = np.array([4000, 12000])
+    hist = pair_difference_histogram(a, b, 0, 80_000, 800)
     assert hist.sum() == len(a) * len(b)
+
+
+def test_histogram_matches_reference_near_the_top_of_the_counter():
+    # 60-bit ticks: float64 seconds would round these differences
+    rng = np.random.default_rng(59)
+    for bin_width in (800, 8, 1):
+        a = 2**59 + _sorted_ticks(rng, 4000, 90)
+        b = 2**59 + 1234 + _sorted_ticks(rng, 4000, 70)
+        span = 300 * bin_width
+        hist = pair_difference_histogram(a, b, 1234, span, bin_width)
+        assert hist.sum() > 0
+        assert np.array_equal(hist, slow_histogram(a, b, 1234, span, bin_width))
 
 
 @pytest.mark.parametrize("n_a, n_b", [(90, 40), (40, 90)])
@@ -75,18 +91,19 @@ def test_histogram_matches_reference_from_either_side(n_a, n_b, monkeypatch):
     for chunk in (1, 7, sync._CHUNK_PAIRS):
         monkeypatch.setattr(sync, "_CHUNK_PAIRS", chunk)
         for _ in range(3):
-            a = np.sort(rng.uniform(0.0, 1e-4, size=n_a))
-            b = np.sort(rng.uniform(0.0, 1e-4, size=n_b))
-            center = rng.uniform(-1e-5, 1e-5)
-            hist = pair_difference_histogram(a, b, center, 2e-5, 1e-7)
-            assert np.array_equal(hist, slow_histogram(a, b, center, 2e-5, 1e-7))
+            a = _sorted_ticks(rng, 800_000, n_a)
+            b = _sorted_ticks(rng, 800_000, n_b)
+            center = int(rng.integers(-80_000, 80_000))
+            hist = pair_difference_histogram(a, b, center, 160_000, 800)
+            assert np.array_equal(hist, slow_histogram(a, b, center, 160_000, 800))
 
 
-@pytest.mark.parametrize("bin_width", [1e-7, 2.0 ** -23])
+@pytest.mark.parametrize("bin_seconds", [1e-7, 2.0 ** -23])
 @pytest.mark.parametrize("n_a, n_b", [(70, 30), (30, 70)])
-def test_histogram_matches_reference_on_exact_bin_edges(bin_width, n_a, n_b):
+def test_histogram_matches_reference_on_exact_bin_edges(bin_seconds, n_a, n_b):
     # every time, the centre and the span are whole multiples of the bin
-    # width, so every difference sits on a bin edge up to rounding
+    # width (800 or 954 ticks), so every difference sits on a bin edge
+    bin_width = seconds_to_ticks(bin_seconds)
     rng = np.random.default_rng(n_a + n_b)
     for _ in range(5):
         a = np.sort(rng.integers(0, 400, size=n_a)) * bin_width
@@ -101,39 +118,39 @@ def test_histogram_matches_reference_on_exact_bin_edges(bin_width, n_a, n_b):
 @pytest.mark.parametrize("n_a, n_b", [(80, 30), (30, 80)])
 def test_histogram_matches_reference_with_more_bins_than_a_chunk(n_a, n_b):
     rng = np.random.default_rng(7)
-    span, bin_width = 1e-2, 1e-7
-    assert int(round(2.0 * span / bin_width)) > sync._CHUNK_PAIRS
-    a = np.sort(rng.uniform(0.0, 2e-2, size=n_a))
-    b = np.sort(rng.uniform(0.0, 2e-2, size=n_b))
-    hist = pair_difference_histogram(a, b, 1e-3, span, bin_width)
-    assert np.array_equal(hist, slow_histogram(a, b, 1e-3, span, bin_width))
+    span, bin_width = 80_000_000, 800                  # 10 ms, 100 ns
+    assert 2 * span // bin_width > sync._CHUNK_PAIRS
+    a = _sorted_ticks(rng, 160_000_000, n_a)
+    b = _sorted_ticks(rng, 160_000_000, n_b)
+    hist = pair_difference_histogram(a, b, 8_000_000, span, bin_width)
+    assert np.array_equal(hist, slow_histogram(a, b, 8_000_000, span, bin_width))
 
 
 def test_cross_correlate_finds_a_known_offset():
     rng = np.random.default_rng(2)
-    a = np.sort(rng.uniform(0.0, 1.0, size=4000))
-    offset = 3.2e-6
-    b = np.sort(np.concatenate([a + offset, rng.uniform(0.0, 1.0, size=1000)]))
-    corr = cross_correlate(a, b, 0.0, 1e-5, 1e-7)
+    a = _sorted_ticks(rng, 8_000_000_000, 4000)
+    offset = 25_600                                    # 3.2 us
+    b = np.sort(np.concatenate([a + offset, rng.integers(0, 8_000_000_000, size=1000)]))
+    corr = cross_correlate(a, b, 0, 80_000, 800)
     assert abs(corr.peak_offset - offset) <= corr.bin_width
     assert corr.significance > 50
 
 
 def test_cross_correlate_empty_inputs():
     with pytest.raises(EmptyBlockError):
-        cross_correlate(np.empty(0), np.array([1.0]), 0.0, 1e-5, 1e-7)
+        cross_correlate(np.empty(0, dtype=np.int64), np.array([8]), 0, 80_000, 800)
 
 
 def test_significance_is_floored_for_sparse_histograms():
     # a lone accidental count must not read as a huge significance when
     # the expected count per bin is far below one
-    a = np.array([0.5])
-    b = np.array([0.5 + 1.23e-7])
-    corr = cross_correlate(a, b, 0.0, 1e-3, 1e-7, expected_per_bin=0.025)
+    a = np.array([4_000_000_000])
+    b = np.array([4_000_000_000 + 984])                # 123 ns later
+    corr = cross_correlate(a, b, 0, 8_000_000, 800, expected_per_bin=0.025)
     assert corr.peak_count == 1
     assert corr.significance == 1.0
     # above one expected count per bin the plain ratio applies
-    corr2 = cross_correlate(a, b, 0.0, 1e-3, 1e-7, expected_per_bin=2.0)
+    corr2 = cross_correlate(a, b, 0, 8_000_000, 800, expected_per_bin=2.0)
     assert corr2.significance == 0.5
 
 
@@ -260,10 +277,10 @@ def test_lock_drops_in_a_dead_span_and_reacquires():
     assert not gap_events.any()
 
 
-def _one_block_state(offset, t_start=0.0, t_end=1e-3):
-    block = BlockStatus(t_start, t_end, True, offset, 0.0, 99.0, offset)
+def _one_block_state(offset, start_tick=0, end_tick=8_000_000):
+    block = BlockStatus(start_tick, end_tick, True, offset, 0.0, 99.0, offset)
     return LockState(mode=LockMode.LOCKED,
-                     current=OffsetEstimate(offset, 0.0, 99.0, t_start),
+                     current=OffsetEstimate(offset, 0.0, 99.0, block.t_start),
                      blocks=[block])
 
 
@@ -398,8 +415,7 @@ def test_extraction_equals_brute_force_greedy_oracle():
     alice = TagStream(Station.ALICE, a_all[a_order], a_chan[a_order].astype(np.uint8))
     bob = TagStream(Station.BOB, b_all[b_order], b_chan[b_order].astype(np.uint8))
 
-    tick_s = block_ticks * TICK_SECONDS
-    blocks = [BlockStatus(k * tick_s, (k + 1) * tick_s, k != 3,
+    blocks = [BlockStatus(k * block_ticks, (k + 1) * block_ticks, k != 3,
                           offsets[k] * TICK_SECONDS, 0.0, 99.0, 0.0) for k in range(5)]
     state = LockState(mode=LockMode.LOCKED, blocks=blocks)
     cfg = CorrelatorConfig()
@@ -475,6 +491,54 @@ def test_lock_when_markers_fold_the_offset_by_a_second(offset):
     assert np.array_equal(pipeline.coincidences.alice_ticks, events.alice_ticks)
     assert np.array_equal(pipeline.coincidences.bob_ticks, events.bob_ticks)
     assert np.array_equal(pipeline.coincidences.residuals, events.residuals)
+
+
+def _shifted(stream, shift):
+    return TagStream(stream.station, stream.ticks + shift, stream.channels)
+
+
+def _unshifted_blocks(state, shift):
+    return [replace(b, start_tick=b.start_tick - shift, end_tick=b.end_tick - shift)
+            for b in state.blocks]
+
+
+def _assert_same_events(got, want, shift):
+    assert np.array_equal(got.alice_ticks - shift, want.alice_ticks)
+    assert np.array_equal(got.bob_ticks - shift, want.bob_ticks)
+    assert np.array_equal(got.alice_channels, want.alice_channels)
+    assert np.array_equal(got.bob_channels, want.bob_channels)
+    assert np.array_equal(got.residuals, want.residuals)
+
+
+@pytest.fixture(scope="module")
+def epoch_run():
+    alice, bob, *_ = _reference_run(30.0, 0.3, seed=5)
+    state, events = run_offline(alice, bob)
+    assert all(block.locked for block in state.blocks)
+    return alice, bob, state, events
+
+
+@pytest.mark.parametrize("shift_bits", [55, 58, 59])
+def test_results_do_not_depend_on_the_epoch(shift_bits, epoch_run):
+    # both counters started 2**shift_bits ticks earlier (up to 2.3 years)
+    alice, bob, state, events = epoch_run
+    shift = 1 << shift_bits
+    shifted_state, shifted_events = run_offline(_shifted(alice, shift), _shifted(bob, shift))
+    assert _unshifted_blocks(shifted_state, shift) == state.blocks
+    assert shifted_state.current.drift_rate == state.current.drift_rate
+    _assert_same_events(shifted_events, events, shift)
+
+
+def test_streamed_feed_at_the_top_of_the_counter(epoch_run):
+    alice, bob, state, events = epoch_run
+    shift = 1 << 59
+    bob = _shifted(bob, shift)
+    pipeline = SyncPipeline(_shifted(alice, shift))
+    for start in range(0, len(bob.ticks), 4096):
+        pipeline.feed_bob(bob.ticks[start:start + 4096], bob.channels[start:start + 4096])
+    pipeline.finish()
+    assert _unshifted_blocks(pipeline.state, shift) == state.blocks
+    _assert_same_events(pipeline.coincidences, events, shift)
 
 
 def test_coincidence_log_round_trip(tmp_path):
