@@ -184,20 +184,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_FAILURE
     pipeline = SyncPipeline(alice, cfg.correlator)
-    incoming: "queue.Queue[np.ndarray]" = queue.Queue()
+    # Frames, then None once the receiver stops.
+    incoming: "queue.Queue[np.ndarray | None]" = queue.Queue()
     server = ReceiverServer(host=args.host, port=args.port,
-                            on_block=lambda _seq, words: incoming.put(words))
+                            on_block=lambda _seq, words: incoming.put(words),
+                            on_end=lambda: incoming.put(None))
     server.start()
     print(f"listening on {server.host}:{server.port}")
     reported = 0
     try:
-        done = False
-        while not done or not incoming.empty():
-            try:
-                words = incoming.get(timeout=0.2)
-            except queue.Empty:
-                done = server.wait(timeout=0.0)
-                continue
+        while (words := incoming.get()) is not None:
             ticks, channels = decode_words(words)
             pipeline.feed_bob(ticks, channels)
             state = pipeline.state
@@ -209,6 +205,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       f"{flag} offset {offset_ns:10.3f} ns "
                       f"significance {block.significance:6.1f}")
                 reported += 1
+        server.wait(timeout=0.0)  # raises the receiver's fatal error
     finally:
         server.stop()
     pipeline.finish()

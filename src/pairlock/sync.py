@@ -193,6 +193,9 @@ class Correlogram:
 
 
 _MAX_BINS = 20_000_000
+# Receiver time either side of a block's predicted window whose tag count
+# sets the accidental rate the block's fine significance is judged by.
+_RATE_PAD = TICKS_PER_SECOND // 2
 # Pairs per histogram chunk: the chunk's 8-byte temporaries stay in cache.
 # A chunk spans at least two histograms' worth of pairs, so the per-chunk
 # bincount over all bins stays a minor cost for wide histograms.
@@ -404,9 +407,14 @@ class SyncPipeline:
     """The block-serial lock engine.
 
     Feed receiver tags in time order as they arrive: each feed processes
-    every block whose data window is complete and returns the new block
-    statuses, so results depend only on the data, not on how it was
-    chunked on arrival. finish() closes the receiver stream, processes
+    every block whose receiver data has all arrived and returns the new
+    block statuses, so results depend only on the data, not on how it was
+    chunked on arrival. A tracked block is complete once the receiver
+    stream reaches the end of what its fine stage reads: the block's end
+    shifted by the predicted offset, plus the 0.5 s rate window. A block
+    that opens with an acquisition waits for the acquisition window, the
+    blind search span and 1.5 s, which covers the one-second retries
+    around the GPS centre. finish() closes the receiver stream, processes
     the remaining blocks and extracts the coincidences. run_offline is one
     feed of the whole receiver stream followed by finish().
 
@@ -480,34 +488,53 @@ class SyncPipeline:
             return start, self._end + 1
         return start, start + self._tk.block_span
 
-    def _data_ready(self, start: int, end: int) -> bool:
+    def _acquisition_due(self, i: int) -> bool:
+        """Whether block i opens with an acquisition attempt."""
+        if self.state.current is not None and self.state.mode is LockMode.LOCKED:
+            return False
+        return self._last_attempt is None \
+            or i - self._last_attempt >= self.cfg.reacquire_interval
+
+    def _data_ready(self, i: int, start: int, end: int) -> bool:
+        """Whether every receiver tag block i reads has arrived. Tags
+        arrive in time order, so a tag at or past the end of a read window
+        proves that window complete."""
         if self._b_finished:
             return True
         if self._b_last is None:
             return False
         tk = self._tk
-        if self.state.current is None or self.state.mode is LockMode.SEARCHING:
-            need = min(max(end, start + tk.acquisition_span), self._end) \
-                + tk.blind_search_span
-        else:
-            need = end + math.ceil(abs(self.state.current.offset) * TICKS_PER_SECOND)
-        return self._b_last >= need + 3 * TICKS_PER_SECOND // 2
+        ends: list[int] = []
+        if self.state.current is not None:
+            center = seconds_to_ticks(self._predict((start + end) // 2))
+            ends += [hi for _lo, hi in self._fine_windows(start, end, center)]
+        if self.state.current is None or self._acquisition_due(i):
+            # The acquisition window plus the blind span, or the GPS centre
+            # with its one-second retries.
+            ends.append(min(max(end, start + tk.acquisition_span), self._end)
+                        + tk.blind_search_span + 3 * TICKS_PER_SECOND // 2)
+        return self._b_last >= max(ends)
 
     def _advance(self) -> list[BlockStatus]:
         """Process all blocks whose receiver data is available."""
         done: list[BlockStatus] = []
         while self._next_block < self._n_blocks:
             start, end = self._block_bounds(self._next_block)
-            if not self._data_ready(start, end):
+            if not self._data_ready(self._next_block, start, end):
                 break
             done.append(self._process_block(self._next_block, start, end))
             self._next_block += 1
         return done
 
-    def _bob_local_rate(self, lo: int, hi: int) -> float:
-        """Detector rate of the receiver around a window (tags per tick)."""
-        pad = TICKS_PER_SECOND // 2
-        return len(_between(self._bob.ticks, lo - pad, hi + pad)) / (hi - lo + 2 * pad)
+    def _fine_windows(self, start: int, end: int,
+                      center: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Receiver tick windows [lo, hi) the fine stage reads for local
+        block [start, end) around a trial offset: the slice it correlates,
+        and the rate window, _RATE_PAD wider each side, whose tag count
+        prices the accidentals."""
+        reach = 3 * self._tk.coarse_bin + self._tk.coincidence_window
+        return ((start + center - reach, end + center + reach),
+                (start + center - _RATE_PAD, end + center + _RATE_PAD))
 
     def _predict(self, tick: int) -> float:
         """Offset (s) the current estimate predicts at a local tick."""
@@ -517,18 +544,14 @@ class SyncPipeline:
     def _process_block(self, i: int, start: int, end: int) -> BlockStatus:
         cfg = self.cfg
         mid = (start + end) // 2
-        searching = self.state.current is None or self.state.mode is LockMode.SEARCHING
-        if searching:
-            due = self._last_attempt is None \
-                or i - self._last_attempt >= cfg.reacquire_interval
-            if due:
-                self._last_attempt = i
-                acquired = self._attempt_acquire(start)
-                if acquired is not None:
-                    self.state.current = acquired[1]
-                    self.state.mode = LockMode.LOCKED
-                    self.state.history = [acquired]
-                    self._fails = 0
+        if self._acquisition_due(i):
+            self._last_attempt = i
+            acquired = self._attempt_acquire(start)
+            if acquired is not None:
+                self.state.current = acquired[1]
+                self.state.mode = LockMode.LOCKED
+                self.state.history = [acquired]
+                self._fails = 0
 
         if self.state.current is None:
             status = BlockStatus(start, end, False, math.nan, 0.0, 0.0, math.nan)
@@ -582,14 +605,12 @@ class SyncPipeline:
         if len(a_slice) == 0:
             return math.nan, 0.0
         center = seconds_to_ticks(predicted)
-        span = 2 * tk.coarse_bin
-        pad = tk.coarse_bin + tk.coincidence_window
-        b_slice = _between(self._bob.ticks, start + center - span - pad,
-                           end + center + span + pad)
+        (b_lo, b_hi), (r_lo, r_hi) = self._fine_windows(start, end, center)
+        b_slice = _between(self._bob.ticks, b_lo, b_hi)
         if len(b_slice) == 0:
             return math.nan, 0.0
-        rate_b = self._bob_local_rate(start + center, end + center)
-        corr = cross_correlate(a_slice, b_slice, center, span, tk.fine_bin,
+        rate_b = len(_between(self._bob.ticks, r_lo, r_hi)) / (r_hi - r_lo)
+        corr = cross_correlate(a_slice, b_slice, center, 2 * tk.coarse_bin, tk.fine_bin,
                                expected_per_bin=len(a_slice) * rate_b * tk.fine_bin)
         return ticks_to_seconds(_centroid(corr)), corr.significance
 

@@ -128,7 +128,10 @@ def decode_block(data: bytes) -> TagBlock:
     if crc != zlib.crc32(payload):
         raise ChecksumMismatchError(f"crc mismatch on block {sequence}")
     words = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
-    return TagBlock(sequence, Station(station), words)
+    try:
+        return TagBlock(sequence, Station(station), words)
+    except ValueError as exc:  # unknown station id or unsorted payload
+        raise FrameError(f"block {sequence}: {exc}") from exc
 
 
 def iter_blocks(words: np.ndarray, station: Station,
@@ -197,18 +200,24 @@ class ReceiverServer:
 
     Survives sender disconnects: session state is keyed by the hello's
     session id, so a reconnecting sender resumes at the first unacked
-    block. wait() returns once the sender's end record arrives.
+    block. A connection that sends a malformed or oversize record is
+    dropped and the server keeps listening; a sequence gap is fatal.
+    wait() returns once the sender's end record arrives, and raises the
+    fatal error if there was one. on_end, when given, is called once from
+    the receiving thread when it stops (end record, fatal error or
+    stop()), after the last on_block call.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  on_block: Callable[[int, np.ndarray], None] | None = None,
-                 timeout: float = 30.0):
+                 timeout: float = 30.0, on_end: Callable[[], None] | None = None):
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.2)
         self.host, self.port = self._listener.getsockname()[:2]
         self._sessions: dict[int, _SessionState] = {}
         self._active: _SessionState | None = None
         self._on_block = on_block
+        self._on_end = on_end
         self._timeout = timeout
         self._complete = threading.Event()
         self._stop = threading.Event()
@@ -230,13 +239,17 @@ class ReceiverServer:
                     conn.settimeout(self._timeout)
                     try:
                         self._handle_connection(conn)
-                    except ConnectionLostError:
+                    except (ConnectionLostError, FrameError, OversizeBlockError):
+                        # One peer's fault; a sender resumes its session on
+                        # reconnect.
                         continue
         except Exception as exc:  # surfaced through wait()
             self._error = exc
             self._complete.set()
         finally:
             self._listener.close()
+            if self._on_end is not None:
+                self._on_end()
 
     def _handle_connection(self, conn: socket.socket) -> None:
         raw = _read_exact(conn, _HELLO.size)

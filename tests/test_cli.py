@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from pairlock.cli import main
-from pairlock.timetags import Station, read_tagfile
+from pairlock.timetags import Station, encode_words, read_tagfile
+from pairlock.transport import TagBlock, encode_block
 
 
 def _simulate(tmp_path, duration="8", seed="5", extra=()):
@@ -166,3 +167,34 @@ def test_serve_and_send_match_offline(tmp_path, capsys):
     server.join(timeout=30.0)
     assert result.get("rc") == 0
     assert live.read_bytes() == offline.read_bytes()
+
+
+def test_serve_exits_on_a_sequence_gap(tmp_path, capsys):
+    a, _b = _simulate(tmp_path, duration="3")
+    port = _free_port()
+    result: dict = {}
+
+    def run_server():
+        result["rc"] = main(["serve", "--alice", str(a), "--port", str(port),
+                             "--out", str(tmp_path / "live.csv")])
+
+    server = threading.Thread(target=run_server, daemon=True)
+    server.start()
+    deadline = time.monotonic() + 10.0
+    while True:
+        try:
+            conn = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+            break
+        except OSError:
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+    with conn:
+        conn.sendall(b"ETHS" + bytes([1, 0, int(Station.BOB), 0]) + (1).to_bytes(8, "little"))
+        assert conn.recv(12)[:4] == b"ETHA"
+        words = encode_words(np.array([0, 1000], dtype=np.int64),
+                             np.array([1, 2], dtype=np.uint8))
+        conn.sendall(encode_block(TagBlock(1, Station.BOB, words)))
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+    assert result.get("rc") == 1
+    assert "expected block 0, got 1" in capsys.readouterr().err

@@ -34,7 +34,8 @@ from pairlock.sync import (
     write_coincidence_log,
     write_lock_timeline,
 )
-from pairlock.timetags import TICK_SECONDS, Station, TagStream, seconds_to_ticks
+from pairlock.timetags import (TICK_SECONDS, TICKS_PER_SECOND, ChannelCode, Station, TagStream,
+                               seconds_to_ticks)
 
 
 def slow_histogram(a_ticks, b_ticks, center, span, bin_width):
@@ -468,6 +469,44 @@ def test_blocks_only_complete_once_data_has_arrived():
     pipeline.feed_bob(bob.ticks[ninety:], bob.channels[ninety:])
     pipeline.finish()
     assert len(pipeline.state.blocks) == 15
+
+
+def test_locked_block_completes_when_its_read_window_has_arrived():
+    alice, bob, *_ = _reference_run(15.0, 0.3, seed=39)
+    state, _ = run_offline(alice, bob)
+    j = 12
+    block = state.blocks[j]
+    assert block.locked
+    # Block j reads receiver ticks up to the end of its rate window, half
+    # a second past its end shifted by the offset predicted for it.
+    need = block.end_tick + seconds_to_ticks(block.predicted) + TICKS_PER_SECOND // 2
+    k = int(np.searchsorted(bob.ticks, need - 1))
+    detector = np.uint8(ChannelCode.CH1)
+
+    pipeline = SyncPipeline(alice)
+    # Every tag below the window's end, the last one a tick short of it.
+    pipeline.feed_bob(np.append(bob.ticks[:k], need - 1),
+                      np.append(bob.channels[:k], detector))
+    assert pipeline.state.blocks == state.blocks[:j]
+    # A tag at the window's end completes block j, and only block j.
+    done = pipeline.feed_bob(np.array([need], dtype=np.int64), np.array([detector]))
+    assert [(b.start_tick, b.end_tick, b.locked) for b in done] == \
+        [(block.start_tick, block.end_tick, True)]
+
+
+@pytest.mark.parametrize("chunk", [1024, 8192])
+def test_streamed_chunks_equal_offline_results_at_a_negative_offset(chunk):
+    alice, bob, *_ = _reference_run(15.0, -0.3, seed=41)
+    state, events = run_offline(alice, bob)
+    assert all(block.locked for block in state.blocks)
+
+    pipeline = SyncPipeline(alice)
+    for start in range(0, len(bob.ticks), chunk):
+        pipeline.feed_bob(bob.ticks[start:start + chunk],
+                          bob.channels[start:start + chunk])
+    pipeline.finish()
+    assert pipeline.state.blocks == state.blocks
+    _assert_same_events(pipeline.coincidences, events, 0)
 
 
 @pytest.mark.parametrize("offset", [0.55, -0.7])

@@ -212,6 +212,54 @@ def test_on_block_consumer_gets_every_block_once_in_order():
         server.words()
 
 
+def _hello(session_id=1):
+    return b"ETHS" + struct.pack("<HBBQ", 1, int(Station.BOB), 0, session_id)
+
+
+def _raw_frame(station, words):
+    payload = words.astype("<u8").tobytes()
+    return struct.pack("<4sHBBQI", b"ETBK", 1, station, 0, 0, len(words)) + payload \
+        + struct.pack("<I", zlib.crc32(payload))
+
+
+@pytest.mark.parametrize("junk", [
+    b"GET / HTTP/1.1\r\n",  # hello-sized, so the server reads all of it
+    _hello() + _raw_frame(7, _words(4)),
+    _hello() + _raw_frame(int(Station.BOB), _words(4)[::-1].copy()),
+    _hello() + b"ETBK" + struct.pack("<HBBQI", 1, 1, 0, 0, MAX_BLOCK_TAGS + 1),
+], ids=["bad-hello", "bad-station", "unsorted", "oversize"])
+def test_junk_client_is_dropped_and_the_next_sender_is_served(junk):
+    words = _words(10_000)
+    server = ReceiverServer().start()
+    try:
+        with socket.create_connection((server.host, server.port), timeout=10.0) as conn:
+            conn.sendall(junk)
+            # the server drops the connection without acking a frame
+            reply = b""
+            while chunk := conn.recv(64):
+                reply += chunk
+            assert reply in (b"", b"ETHA" + bytes(8))
+        stats = send_words(server.host, server.port, words, Station.BOB,
+                           block_tags=4096)
+        assert server.wait(timeout=10.0)
+    finally:
+        server.stop()
+    assert stats.reconnects == 0
+    assert np.array_equal(server.words(), words)
+
+
+def test_end_hook_follows_every_block():
+    events = []
+    server = ReceiverServer(on_block=lambda seq, w: events.append(seq),
+                            on_end=lambda: events.append("end")).start()
+    try:
+        send_words(server.host, server.port, _words(5000), Station.BOB, block_tags=2048)
+        assert server.wait(timeout=10.0)
+    finally:
+        server.stop()
+    assert events == [0, 1, 2, "end"]
+
+
 def test_sender_gives_up_when_every_connection_fails():
     server = ReceiverServer().start()
 
