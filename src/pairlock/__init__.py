@@ -33,7 +33,6 @@ from .simulate import (
     reference_link,
     reference_polarization,
     relative_offset_at,
-    sample_pair_channels,
 )
 from .sync import (
     BlockStatus,
@@ -43,12 +42,10 @@ from .sync import (
     LockMode,
     LockState,
     NoLockError,
-    NoMarkersError,
     OffsetEstimate,
     SyncError,
     SyncPipeline,
     acquire_lock,
-    coarse_align_markers,
     cross_correlate,
     extract_coincidences,
     locked_seconds_from_timeline,
@@ -69,12 +66,8 @@ from .timetags import (
     Station,
     TagFileError,
     TagStream,
-    TimeTag,
-    decode_tag,
     decode_words,
-    encode_tag,
     encode_words,
-    merge_streams,
     read_tagfile,
     seconds_to_ticks,
     ticks_to_seconds,
@@ -104,20 +97,19 @@ __all__ = [
     "__version__",
     # timetags
     "TICK_SECONDS", "TICKS_PER_SECOND", "MAX_TICKS", "FILE_MAGIC", "FILE_VERSION",
-    "ChannelCode", "Station", "TimeTag", "TagStream",
+    "ChannelCode", "Station", "TagStream",
     "InvalidChannelError", "TagFileError",
-    "encode_tag", "decode_tag", "encode_words", "decode_words",
-    "ticks_to_seconds", "seconds_to_ticks",
-    "merge_streams", "read_tagfile", "write_tagfile",
+    "encode_words", "decode_words", "ticks_to_seconds", "seconds_to_ticks",
+    "read_tagfile", "write_tagfile",
     # simulate
     "PolarizationModel", "MeasurementSettings", "LinkDetectorConfig", "ClockModel",
-    "InvalidConfigError", "joint_outcome_probabilities", "sample_pair_channels",
+    "InvalidConfigError", "joint_outcome_probabilities",
     "relative_offset_at", "generate_streams",
     "reference_link", "reference_polarization", "reference_clocks",
     # sync
     "CorrelatorConfig", "OffsetEstimate", "BlockStatus", "LockState", "LockMode",
-    "SyncError", "NoMarkersError", "EmptyBlockError", "NoLockError",
-    "pair_difference_histogram", "cross_correlate", "coarse_align_markers",
+    "SyncError", "EmptyBlockError", "NoLockError",
+    "pair_difference_histogram", "cross_correlate",
     "acquire_lock", "Coincidences", "extract_coincidences",
     "run_offline", "SyncPipeline",
     "write_coincidence_log", "read_coincidence_log",

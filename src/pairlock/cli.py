@@ -81,8 +81,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         clock_alice = replace(clock_alice, gps_enabled=False)
         clock_bob = replace(clock_bob, gps_enabled=False)
     alice, bob = generate_streams(args.duration, cfg.link, clock_alice, clock_bob,
-                                  cfg.settings, cfg.polarization, seed=args.seed,
-                                  epoch_label=args.label)
+                                  cfg.settings, cfg.polarization, seed=args.seed)
     write_tagfile(args.out_a, alice)
     write_tagfile(args.out_b, bob)
     print(f"alice: {len(alice.ticks)} tags -> {args.out_a}")
@@ -106,15 +105,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_lock_summary(state, events) -> None:
+def _finish_lock(args: argparse.Namespace, state, events) -> int:
+    """The tail lock and serve share: exit 3 without any locked block,
+    otherwise write the log and timeline and print the summary."""
+    if state.locked_seconds_total == 0.0:
+        print("no lock: correlation peak never cleared the threshold",
+              file=sys.stderr)
+        return EXIT_NO_LOCK
+    write_coincidence_log(args.out, events)
+    if args.timeline is not None:
+        write_lock_timeline(args.timeline, state)
     locked = [b for b in state.blocks if b.locked]
     print(f"blocks locked: {len(locked)}/{len(state.blocks)}")
     print(f"locked time:   {state.locked_seconds_total:.3f} s")
-    if state.current is not None:
-        print(f"offset:        {state.current.offset * 1e9:.3f} ns "
-              f"(drift {state.current.drift_rate:.3e})")
-    rate = len(events) / state.locked_seconds_total if state.locked_seconds_total else 0.0
+    print(f"offset:        {state.current.offset * 1e9:.3f} ns "
+          f"(drift {state.current.drift_rate:.3e})")
+    rate = len(events) / state.locked_seconds_total
     print(f"coincidences:  {len(events)} ({rate:.1f} per locked second)")
+    print(f"coincidence log: {args.out}")
+    return EXIT_OK
 
 
 def _cmd_lock(args: argparse.Namespace) -> int:
@@ -130,16 +139,7 @@ def _cmd_lock(args: argparse.Namespace) -> int:
     except NoLockError as exc:
         print(f"no lock: {exc}", file=sys.stderr)
         return EXIT_NO_LOCK
-    if state.locked_seconds_total == 0.0:
-        print("no lock: correlation peak never cleared the threshold",
-              file=sys.stderr)
-        return EXIT_NO_LOCK
-    write_coincidence_log(args.out, events)
-    if args.timeline is not None:
-        write_lock_timeline(args.timeline, state)
-    _print_lock_summary(state, events)
-    print(f"coincidence log: {args.out}")
-    return EXIT_OK
+    return _finish_lock(args, state, events)
 
 
 def _cmd_bell(args: argparse.Namespace) -> int:
@@ -209,18 +209,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.stop()
     pipeline.finish()
-    events = pipeline.coincidences
-    state = pipeline.state
-    if state.locked_seconds_total == 0.0:
-        print("no lock: correlation peak never cleared the threshold",
-              file=sys.stderr)
-        return EXIT_NO_LOCK
-    write_coincidence_log(args.out, events)
-    if args.timeline is not None:
-        write_lock_timeline(args.timeline, state)
-    _print_lock_summary(state, events)
-    print(f"coincidence log: {args.out}")
-    return EXIT_OK
+    return _finish_lock(args, pipeline.state, pipeline.coincidences)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--no-gps", action="store_true",
                      help="omit the once-per-second marker tags")
     sim.add_argument("--truth", help="write the generating clock truth as JSON")
-    sim.add_argument("--label", default="sim", help="epoch label stored with the run")
     sim.set_defaults(func=_cmd_simulate)
 
     lock = sub.add_parser("lock", help="recover the clock offset offline")

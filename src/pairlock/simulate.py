@@ -54,9 +54,6 @@ class PolarizationModel:
             if not 0.0 <= v <= 1.0:
                 raise InvalidConfigError(f"visibility {v} outside [0, 1]")
 
-    def visibility_for_alice_basis(self, basis: int) -> float:
-        return self.visibility_hv if basis == 0 else self.visibility_pm
-
 
 @dataclass(frozen=True)
 class MeasurementSettings:
@@ -204,13 +201,6 @@ def _sample_pair_channels_array(rng: np.random.Generator, n: int,
     return ch_a, ch_b
 
 
-def sample_pair_channels(settings: MeasurementSettings, pol: PolarizationModel,
-                         rng: np.random.Generator) -> tuple[ChannelCode, ChannelCode]:
-    """Analyzer outputs for a single detected pair."""
-    ch_a, ch_b = _sample_pair_channels_array(rng, 1, settings, pol)
-    return ChannelCode(int(ch_a[0])), ChannelCode(int(ch_b[0]))
-
-
 def _sample_marginal_channels(rng: np.random.Generator, n: int,
                               basis_split: float) -> np.ndarray:
     """Channels for photons whose partner went undetected (uniform within
@@ -248,8 +238,7 @@ def generate_streams(duration: float,
                      settings: MeasurementSettings | None = None,
                      pol: PolarizationModel | None = None,
                      *,
-                     seed: int = 0,
-                     epoch_label: str = "") -> tuple[TagStream, TagStream]:
+                     seed: int = 0) -> tuple[TagStream, TagStream]:
     """Simulate both stations' tag streams for one run.
 
     Returns (alice, bob) TagStreams in each station's local clock. Tags
@@ -325,8 +314,7 @@ def generate_streams(duration: float,
         ch = ch[keep]
         ticks = seconds_to_ticks(local)
         order = np.argsort(ticks, kind="stable")
-        streams.append(TagStream(station, ticks[order], ch[order],
-                                 epoch_label=epoch_label or f"seed{seed}"))
+        streams.append(TagStream(station, ticks[order], ch[order]))
     return streams[0], streams[1]
 
 

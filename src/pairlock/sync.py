@@ -46,10 +46,6 @@ class SyncError(Exception):
     pass
 
 
-class NoMarkersError(SyncError):
-    """GPS alignment was requested but markers are missing."""
-
-
 class EmptyBlockError(SyncError):
     """A correlation was attempted on a block without detector tags."""
 
@@ -132,9 +128,6 @@ class OffsetEstimate:
     significance: float
     valid_from: float
 
-    def predict(self, t: float) -> float:
-        return self.offset + self.drift_rate * (t - self.valid_from)
-
 
 @dataclass(frozen=True)
 class BlockStatus:
@@ -183,9 +176,6 @@ class Correlogram:
     center: int
     span: int
     bin_width: int
-    n_alice: int
-    n_bob: int
-    expected_per_bin: float
     peak_index: int
     peak_count: int
     peak_offset: float
@@ -286,15 +276,19 @@ def cross_correlate(a_ticks: np.ndarray, b_ticks: np.ndarray, center: int,
     peak_count = int(hist[peak_index])
     peak_offset = center - span + (peak_index + 0.5) * bin_width
     significance = peak_count / max(expected_per_bin, 1.0)
-    return Correlogram(hist, center, span, bin_width, len(a_ticks), len(b_ticks),
-                       float(expected_per_bin), peak_index, peak_count,
+    return Correlogram(hist, center, span, bin_width, peak_index, peak_count,
                        float(peak_offset), float(significance))
 
 
 def _marker_offset(markers_a: np.ndarray, markers_b: np.ndarray) -> float | None:
     """Median receiver-minus-local tick difference of GPS markers paired by
     whole second counted from the first local marker, or None when no
-    second has a marker at both stations."""
+    second has a marker at both stations.
+
+    The pairing makes the result the offset modulo one second, folded into
+    about [-0.5, 0.5) s: a true offset of 0.7 s reads as -0.3 s.
+    Acquisition therefore also searches one second either side of it.
+    """
     if len(markers_a) == 0:
         return None
     # Flooring after a half-second shift rounds to the nearest second.
@@ -305,24 +299,6 @@ def _marker_offset(markers_a: np.ndarray, markers_b: np.ndarray) -> float | None
     if len(idx_a) == 0:
         return None
     return float(np.median(markers_b[idx_b] - markers_a[idx_a]))
-
-
-def coarse_align_markers(alice: TagStream, bob: TagStream) -> float:
-    """Median receiver-minus-local difference (s) of matching GPS markers.
-
-    Markers are paired by whole second since Alice's first marker, so the
-    result is the offset modulo one second, folded into about
-    [-0.5, 0.5) s: a true offset of 0.7 s reads as -0.3 s. Acquisition
-    therefore also searches one second either side of it.
-    """
-    ma = alice.ticks[~alice.detector_mask]
-    mb = bob.ticks[~bob.detector_mask]
-    if len(ma) == 0 or len(mb) == 0:
-        raise NoMarkersError("both streams need GPS markers for coarse alignment")
-    offset = _marker_offset(ma, mb)
-    if offset is None:
-        raise NoMarkersError("no GPS markers share a second")
-    return ticks_to_seconds(offset)
 
 
 def _centroid(corr: Correlogram, half_width_bins: int = 3) -> float:
@@ -631,7 +607,7 @@ class SyncPipeline:
             found = self._two_stage(a_slice, start, stop, 0, tk.blind_search_span)
         else:
             # Markers fix the offset only modulo one second (see
-            # coarse_align_markers), so the neighbouring seconds are tried next.
+            # _marker_offset), so the neighbouring seconds are tried next.
             center = round(center)
             for trial in (center, center + TICKS_PER_SECOND, center - TICKS_PER_SECOND):
                 found = self._two_stage(a_slice, start, stop, trial, tk.gps_search_span)

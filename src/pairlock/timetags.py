@@ -21,7 +21,7 @@ Tag files (".ettag") are little-endian:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -46,10 +46,6 @@ class ChannelCode(IntEnum):
     GPS_MARKER = 0xF
 
 
-DETECTOR_CODES = (ChannelCode.CH0, ChannelCode.CH1, ChannelCode.CH2, ChannelCode.CH3)
-_VALID_CODES = frozenset(int(c) for c in ChannelCode)
-
-
 class Station(IntEnum):
     ALICE = 0
     BOB = 1
@@ -61,20 +57,6 @@ class InvalidChannelError(ValueError):
 
 class TagFileError(ValueError):
     """A ".ettag" file violates the on-disk format."""
-
-
-@dataclass(frozen=True)
-class TimeTag:
-    """One detection: tick count since stream epoch plus channel code."""
-
-    ticks: int
-    channel: ChannelCode
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.ticks < MAX_TICKS:
-            raise ValueError(f"ticks {self.ticks} outside the 60-bit range")
-        if int(self.channel) not in _VALID_CODES:
-            raise InvalidChannelError(f"channel code {self.channel} is not assigned")
 
 
 def ticks_to_seconds(ticks):
@@ -99,28 +81,14 @@ def _unassigned(channels: np.ndarray) -> np.ndarray:
     return (channels > int(ChannelCode.CH3)) & (channels != int(ChannelCode.GPS_MARKER))
 
 
-def encode_tag(tag: TimeTag) -> int:
-    """Pack a tag into its 64-bit word."""
-    return (tag.ticks << 4) | int(tag.channel)
-
-
-def decode_tag(word: int) -> TimeTag:
-    """Unpack a 64-bit word; raises InvalidChannelError on a bad nibble."""
-    if not 0 <= word < 1 << 64:
-        raise ValueError(f"word {word:#x} is not a 64-bit value")
-    code = word & 0xF
-    if code not in _VALID_CODES:
-        raise InvalidChannelError(f"channel nibble {code:#x} is not assigned")
-    return TimeTag(ticks=word >> 4, channel=ChannelCode(code))
-
-
 def encode_words(ticks: np.ndarray, channels: np.ndarray) -> np.ndarray:
-    """Vector form of encode_tag, returns uint64 words."""
+    """Pack ticks and channel codes into uint64 tag words."""
     return (ticks.astype(np.uint64) << np.uint64(4)) | channels.astype(np.uint64)
 
 
 def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of decode_tag, returns (ticks int64, channels uint8)."""
+    """Unpack tag words into (ticks int64, channels uint8); raises
+    InvalidChannelError on an unassigned nibble."""
     channels = (words & np.uint64(0xF)).astype(np.uint8)
     bad = _unassigned(channels)
     if bad.any():
@@ -135,15 +103,14 @@ def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class TagStream:
     """A station's tag list, sorted by tick value.
 
-    Backed by parallel numpy arrays rather than TimeTag objects so that
-    realistic stream lengths (millions of tags) stay cheap. The arrays are
-    treated as immutable. Tags with equal ticks keep their input order.
+    Backed by parallel numpy arrays so that realistic stream lengths
+    (millions of tags) stay cheap. The arrays are treated as immutable.
+    Tags with equal ticks keep their input order.
     """
 
     station: Station
     ticks: np.ndarray
     channels: np.ndarray
-    epoch_label: str = ""
 
     def __post_init__(self) -> None:
         ticks = np.asarray(self.ticks, dtype=np.int64)
@@ -162,42 +129,13 @@ class TagStream:
     def __len__(self) -> int:
         return len(self.ticks)
 
-    def __getitem__(self, i: int) -> TimeTag:
-        return TimeTag(int(self.ticks[i]), ChannelCode(int(self.channels[i])))
-
-    def __iter__(self):
-        for t, c in zip(self.ticks, self.channels):
-            yield TimeTag(int(t), ChannelCode(int(c)))
-
     @property
     def detector_mask(self) -> np.ndarray:
         return self.channels != int(ChannelCode.GPS_MARKER)
 
-    def detector_channels(self) -> np.ndarray:
-        return self.channels[self.detector_mask]
-
     def marker_seconds(self) -> np.ndarray:
         """GPS marker times in seconds."""
         return ticks_to_seconds(self.ticks[~self.detector_mask])
-
-    def span(self) -> tuple[float, float]:
-        if not len(self):
-            raise ValueError("empty stream has no span")
-        return ticks_to_seconds(int(self.ticks[0])), ticks_to_seconds(int(self.ticks[-1]))
-
-
-def merge_streams(a: TagStream, b: TagStream) -> TagStream:
-    """Merge two streams of the same station into one sorted stream.
-
-    Stable: ties keep a's tags ahead of b's.
-    """
-    if a.station != b.station:
-        raise ValueError("cannot merge streams from different stations")
-    ticks = np.concatenate([a.ticks, b.ticks])
-    channels = np.concatenate([a.channels, b.channels])
-    order = np.argsort(ticks, kind="stable")
-    label = a.epoch_label or b.epoch_label
-    return TagStream(a.station, ticks[order], channels[order], label)
 
 
 def write_tagfile(path: str | Path, stream: TagStream) -> None:
@@ -225,6 +163,6 @@ def read_tagfile(path: str | Path) -> TagStream:
     words = np.frombuffer(raw, dtype="<u8", count=count, offset=_HEADER.size)
     ticks, channels = decode_words(words)
     try:
-        return TagStream(Station(station), ticks, channels, epoch_label=path.stem)
+        return TagStream(Station(station), ticks, channels)
     except ValueError as exc:
         raise TagFileError(f"{path}: {exc}") from exc

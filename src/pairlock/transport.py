@@ -59,6 +59,14 @@ _CRC = struct.Struct("<I")
 ACK = b"A"
 NAK = b"N"
 
+# The hello is read under the short _HELLO_TIMEOUT, so a client that
+# connects and stays silent is dropped within it instead of holding the
+# serial accept loop for _RECORD_TIMEOUT, the limit after the hello.
+_HELLO_TIMEOUT = 2.0
+_RECORD_TIMEOUT = 30.0
+# Connect and per-reply timeout on the sending side.
+_SEND_TIMEOUT = 10.0
+
 
 class TransportError(Exception):
     pass
@@ -166,8 +174,6 @@ class _SessionState:
     def __init__(self, on_block: Callable[[int, np.ndarray], None] | None = None):
         self.next_sequence = 0
         self.block_words: list[np.ndarray] = []
-        self.station: Station | None = None
-        self.complete = False
         self.on_block = on_block
 
     def handle_block(self, block: TagBlock) -> int:
@@ -180,8 +186,6 @@ class _SessionState:
             raise SequenceGapError(
                 f"expected block {self.next_sequence}, got {block.sequence}")
         if block.sequence == self.next_sequence:
-            if self.station is None:
-                self.station = block.station
             self.next_sequence += 1
             if self.on_block is None:
                 self.block_words.append(block.words)
@@ -200,8 +204,9 @@ class ReceiverServer:
 
     Survives sender disconnects: session state is keyed by the hello's
     session id, so a reconnecting sender resumes at the first unacked
-    block. A connection that sends a malformed or oversize record is
-    dropped and the server keeps listening; a sequence gap is fatal.
+    block. A connection that sends a malformed or oversize record, or no
+    hello within two seconds, is dropped and the server keeps listening;
+    a sequence gap is fatal.
     wait() returns once the sender's end record arrives, and raises the
     fatal error if there was one. on_end, when given, is called once from
     the receiving thread when it stops (end record, fatal error or
@@ -210,7 +215,7 @@ class ReceiverServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  on_block: Callable[[int, np.ndarray], None] | None = None,
-                 timeout: float = 30.0, on_end: Callable[[], None] | None = None):
+                 on_end: Callable[[], None] | None = None):
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.2)
         self.host, self.port = self._listener.getsockname()[:2]
@@ -218,7 +223,6 @@ class ReceiverServer:
         self._active: _SessionState | None = None
         self._on_block = on_block
         self._on_end = on_end
-        self._timeout = timeout
         self._complete = threading.Event()
         self._stop = threading.Event()
         self._error: Exception | None = None
@@ -236,7 +240,6 @@ class ReceiverServer:
                 except socket.timeout:
                     continue
                 with conn:
-                    conn.settimeout(self._timeout)
                     try:
                         self._handle_connection(conn)
                     except (ConnectionLostError, FrameError, OversizeBlockError):
@@ -252,7 +255,9 @@ class ReceiverServer:
                 self._on_end()
 
     def _handle_connection(self, conn: socket.socket) -> None:
+        conn.settimeout(_HELLO_TIMEOUT)
         raw = _read_exact(conn, _HELLO.size)
+        conn.settimeout(_RECORD_TIMEOUT)
         magic, version, _station, _res, session_id = _HELLO.unpack(raw)
         if magic != HELLO_MAGIC or version != PROTOCOL_VERSION:
             raise FrameError("bad hello record")
@@ -266,7 +271,6 @@ class ReceiverServer:
                 if total != session.next_sequence:
                     raise SequenceGapError(
                         f"end record names {total} blocks, received {session.next_sequence}")
-                session.complete = True
                 conn.sendall(_REPLY.pack(ACK, session.next_sequence))
                 self._complete.set()
                 return
@@ -306,10 +310,6 @@ class ReceiverServer:
             return np.empty(0, dtype=np.uint64)
         return self._active.words()
 
-    @property
-    def station(self) -> Station | None:
-        return self._active.station if self._active else None
-
 
 @dataclass
 class SendStats:
@@ -326,7 +326,7 @@ class SendStats:
 
 def send_words(host: str, port: int, words: np.ndarray, station: Station, *,
                block_tags: int = MAX_BLOCK_TAGS, session_id: int = 1,
-               timeout: float = 10.0, max_reconnects: int = 8,
+               max_reconnects: int = 8,
                connect_factory: Callable[[], socket.socket] | None = None) -> SendStats:
     """Send an encoded word array, resuming across dropped connections.
 
@@ -347,11 +347,11 @@ def send_words(host: str, port: int, words: np.ndarray, station: Station, *,
             if connect_factory is not None:
                 conn = connect_factory()
             else:
-                conn = socket.create_connection((host, port), timeout=timeout)
+                conn = socket.create_connection((host, port), timeout=_SEND_TIMEOUT)
         except OSError as exc:
             raise ConnectionLostError(str(exc)) from exc
         try:
-            conn.settimeout(timeout)
+            conn.settimeout(_SEND_TIMEOUT)
             conn.sendall(_HELLO.pack(HELLO_MAGIC, PROTOCOL_VERSION, int(station),
                                      0, session_id))
             raw = _read_exact(conn, _HELLO_REPLY.size)

@@ -17,9 +17,8 @@ from pairlock.simulate import (
     reference_link,
     reference_polarization,
     relative_offset_at,
-    sample_pair_channels,
 )
-from pairlock.timetags import ChannelCode, Station
+from pairlock.timetags import Station
 
 
 def test_joint_probabilities_anticorrelated_at_equal_angles():
@@ -42,12 +41,6 @@ def test_joint_probabilities_hand_values():
     assert pp_half == pytest.approx((1 + e / 2) / 4)
     # 45 degrees apart is uncorrelated
     assert joint_outcome_probabilities(0.0, 45.0, 0.9) == pytest.approx((0.25,) * 4)
-
-
-def test_visibility_per_alice_basis():
-    pol = PolarizationModel(visibility_hv=0.96, visibility_pm=0.90)
-    assert pol.visibility_for_alice_basis(0) == 0.96
-    assert pol.visibility_for_alice_basis(1) == 0.90
 
 
 def test_polarization_validation():
@@ -110,7 +103,7 @@ def test_pair_channel_statistics_match_the_formula():
     for ia, ib in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         mask = (basis_a == ia) & (basis_b == ib)
         n_sel = int(mask.sum())
-        vis = pol.visibility_for_alice_basis(ia)
+        vis = (pol.visibility_hv, pol.visibility_pm)[ia]
         angle_a = settings.alice_angles[2 * ia]
         angle_b = settings.bob_angles[2 * ib] + pol.rotation_error
         expected = -vis * math.cos(2.0 * math.radians(angle_a - angle_b))
@@ -135,13 +128,6 @@ def test_marginal_channels_uniform_within_basis():
     counts = np.bincount(ch, minlength=4)
     for c in counts:
         assert abs(c - 20_000) < 5 * math.sqrt(20_000)
-
-
-def test_sample_pair_channels_scalar():
-    rng = np.random.default_rng(1)
-    a, b = sample_pair_channels(MeasurementSettings(), PolarizationModel(), rng)
-    assert a in (ChannelCode.CH0, ChannelCode.CH1, ChannelCode.CH2, ChannelCode.CH3)
-    assert b in (ChannelCode.CH0, ChannelCode.CH1, ChannelCode.CH2, ChannelCode.CH3)
 
 
 def test_generate_streams_deterministic():

@@ -20,11 +20,9 @@ from pairlock.sync import (
     LockMode,
     LockState,
     NoLockError,
-    NoMarkersError,
     OffsetEstimate,
     SyncPipeline,
     acquire_lock,
-    coarse_align_markers,
     cross_correlate,
     extract_coincidences,
     locked_seconds_from_timeline,
@@ -155,17 +153,8 @@ def test_significance_is_floored_for_sparse_histograms():
     assert corr2.significance == 0.5
 
 
-def test_offset_estimate_prediction():
-    est = OffsetEstimate(offset=1e-6, drift_rate=2e-9, significance=10.0,
-                         valid_from=5.0)
-    assert est.predict(5.0) == 1e-6
-    assert est.predict(15.0) == pytest.approx(1e-6 + 2e-8, rel=1e-12)
-
-
-def _marker_stream(station, seconds):
-    ticks = np.rint(np.asarray(seconds) * 8e9).astype(np.int64)
-    channels = np.full(len(ticks), 15, dtype=np.uint8)
-    return TagStream(station, np.sort(ticks), channels)
+def _marker_ticks(seconds):
+    return np.sort(np.rint(np.asarray(seconds) * 8e9).astype(np.int64))
 
 
 def test_marker_alignment_median():
@@ -173,27 +162,26 @@ def test_marker_alignment_median():
     seconds = np.arange(10, dtype=float)
     jitter_a = rng.normal(0.0, 50e-9, 10)
     jitter_b = rng.normal(0.0, 50e-9, 10)
-    alice = _marker_stream(Station.ALICE, seconds + jitter_a)
-    bob = _marker_stream(Station.BOB, seconds + 0.3 + jitter_b)
-    got = coarse_align_markers(alice, bob)
-    assert abs(got - 0.3) < 100e-9
+    got = sync._marker_offset(_marker_ticks(seconds + jitter_a),
+                              _marker_ticks(seconds + 0.3 + jitter_b))
+    assert abs(got / TICKS_PER_SECOND - 0.3) < 100e-9
 
 
 def test_marker_alignment_survives_a_dropped_marker():
     # the receiver missed second zero; matching by integer second keeps
     # the remaining pairs aligned instead of shifting them all by one
     seconds = np.arange(10, dtype=float)
-    alice = _marker_stream(Station.ALICE, seconds)
-    bob = _marker_stream(Station.BOB, seconds[1:] + 0.3)
-    assert coarse_align_markers(alice, bob) == pytest.approx(0.3, abs=1e-9)
+    got = sync._marker_offset(_marker_ticks(seconds), _marker_ticks(seconds[1:] + 0.3))
+    assert got == pytest.approx(0.3 * TICKS_PER_SECOND, abs=8)
 
 
 def test_marker_alignment_needs_markers():
-    alice = _marker_stream(Station.ALICE, np.arange(5, dtype=float))
-    empty = TagStream(Station.BOB, np.array([800], dtype=np.int64),
-                      np.array([0], dtype=np.uint8))
-    with pytest.raises(NoMarkersError):
-        coarse_align_markers(alice, empty)
+    markers = _marker_ticks(np.arange(5, dtype=float))
+    none = np.empty(0, dtype=np.int64)
+    assert sync._marker_offset(markers, none) is None
+    assert sync._marker_offset(none, markers) is None
+    # markers exist on both sides, but no second has one at each station
+    assert sync._marker_offset(markers, markers + 10 * TICKS_PER_SECOND) is None
 
 
 def _reference_run(duration, offset, seed, *, drift=5e-11, gps=True, sigma=0.1):
@@ -513,7 +501,9 @@ def test_streamed_chunks_equal_offline_results_at_a_negative_offset(chunk):
 def test_lock_when_markers_fold_the_offset_by_a_second(offset):
     # markers read 0.55 s as -0.45 s and -0.7 s as 0.3 s
     alice, bob, ca, cb = _reference_run(15.0, offset, seed=5)
-    assert abs(coarse_align_markers(alice, bob) - offset) == pytest.approx(1.0, abs=1e-3)
+    markers = sync._marker_offset(alice.ticks[~alice.detector_mask],
+                                  bob.ticks[~bob.detector_mask])
+    assert abs(markers / TICKS_PER_SECOND - offset) == pytest.approx(1.0, abs=1e-3)
     state, events = run_offline(alice, bob)
     assert len(state.blocks) == 15
     assert all(block.locked for block in state.blocks)

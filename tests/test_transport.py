@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -125,7 +126,6 @@ def test_loopback_session_delivers_identical_words():
     finally:
         server.stop()
     assert np.array_equal(server.words(), words)
-    assert server.station is Station.BOB
     assert stats.blocks == 5
     assert stats.reconnects == 0
 
@@ -246,6 +246,25 @@ def test_junk_client_is_dropped_and_the_next_sender_is_served(junk):
         server.stop()
     assert stats.reconnects == 0
     assert np.array_equal(server.words(), words)
+
+
+def test_silent_client_does_not_stall_the_next_sender():
+    # a client that connects and never sends its hello is dropped after
+    # the short hello timeout, not after the 30 s record timeout
+    words = _words(10_000)
+    server = ReceiverServer().start()
+    try:
+        with socket.create_connection((server.host, server.port), timeout=10.0):
+            t0 = time.perf_counter()
+            stats = send_words(server.host, server.port, words, Station.BOB,
+                               block_tags=4096)
+            elapsed = time.perf_counter() - t0
+        assert server.wait(timeout=10.0)
+    finally:
+        server.stop()
+    assert elapsed < 10.0
+    assert np.array_equal(server.words(), words)
+    assert stats.blocks == 3
 
 
 def test_end_hook_follows_every_block():
