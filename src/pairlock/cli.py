@@ -191,24 +191,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                             on_end=lambda: incoming.put(None))
     server.start()
     print(f"listening on {server.host}:{server.port}")
-    reported = 0
+
+    def report(done: list) -> None:
+        first = len(pipeline.state.blocks) - len(done)
+        for i, block in enumerate(done, first):
+            flag = "locked" if block.locked else "search"
+            offset_ns = block.offset * 1e9 if block.locked else float("nan")
+            print(f"block {i:4d} [{block.t_start:9.3f},{block.t_end:9.3f}) "
+                  f"{flag} offset {offset_ns:10.3f} ns "
+                  f"significance {block.significance:6.1f}")
+
     try:
         while (words := incoming.get()) is not None:
-            ticks, channels = decode_words(words)
-            pipeline.feed_bob(ticks, channels)
-            state = pipeline.state
-            while reported < len(state.blocks):
-                block = state.blocks[reported]
-                flag = "locked" if block.locked else "search"
-                offset_ns = block.offset * 1e9 if block.locked else float("nan")
-                print(f"block {reported:4d} [{block.t_start:9.3f},{block.t_end:9.3f}) "
-                      f"{flag} offset {offset_ns:10.3f} ns "
-                      f"significance {block.significance:6.1f}")
-                reported += 1
+            report(pipeline.feed_bob(*decode_words(words)))
         server.wait(timeout=0.0)  # raises the receiver's fatal error
     finally:
         server.stop()
-    pipeline.finish()
+    report(pipeline.finish())
     return _finish_lock(args, pipeline.state, pipeline.coincidences)
 
 
@@ -279,9 +278,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except (ValueError, OSError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -313,70 +313,57 @@ def _centroid(corr: Correlogram, half_width_bins: int = 3) -> float:
     return float((weights * centers).sum() / total)
 
 
-def _between(ticks: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The part of a sorted tick array in [lo, hi)."""
-    return ticks[np.searchsorted(ticks, lo):np.searchsorted(ticks, hi)]
+_MARKER = int(ChannelCode.GPS_MARKER)
 
 
-class _Appendable:
-    """Append-only 1-d array with geometric growth; view() is the filled part.
+def _window(tags, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ticks of a station's tags in [lo, hi) and the mask of the GPS
+    markers among them. tags has sorted .ticks and matching .channels;
+    only the window, found by bisection, is read."""
+    i, j = np.searchsorted(tags.ticks, (lo, hi))
+    return tags.ticks[i:j], tags.channels[i:j] == _MARKER
 
-    The first append keeps a reference to the caller's array, so a whole
+
+def _detections(tags, lo: int, hi: int) -> np.ndarray:
+    """Detector ticks of a station's tags in [lo, hi)."""
+    ticks, marker = _window(tags, lo, hi)
+    return ticks[~marker] if marker.any() else ticks
+
+
+class _Recorded:
+    """The receiver's ticks and channels as they arrived, markers
+    included, append-only with geometric growth.
+
+    The first append keeps a reference to the caller's arrays, so a whole
     stream appended at once is not copied; later appends never write
-    into it.
+    into them.
     """
 
-    def __init__(self, dtype):
-        self._buf = np.empty(0, dtype=dtype)
+    def __init__(self):
+        self._bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)]
         self._n = 0
 
-    def append(self, values: np.ndarray) -> None:
-        end = self._n + len(values)
-        if self._n == 0:
-            self._buf = np.asarray(values, dtype=self._buf.dtype)
-        else:
-            if end > len(self._buf):
-                grown = np.empty(max(end, 2 * len(self._buf)), dtype=self._buf.dtype)
-                grown[:self._n] = self._buf[:self._n]
-                self._buf = grown
-            self._buf[self._n:end] = values
-        self._n = end
-
-    def view(self) -> np.ndarray:
-        return self._buf[:self._n]
-
-
-class _Detections:
-    """One station's tags as stored by the engine: detector ticks, their
-    channels and the GPS marker ticks, each append-only. Markers are
-    split off once, as a chunk is appended; a chunk without markers is
-    appended as it is."""
-
-    def __init__(self):
-        self._ticks = _Appendable(np.int64)
-        self._channels = _Appendable(np.uint8)
-        self._markers = _Appendable(np.int64)
-
     def append(self, ticks: np.ndarray, channels: np.ndarray) -> None:
-        marker = channels == int(ChannelCode.GPS_MARKER)
-        if marker.any():
-            self._markers.append(ticks[marker])
-            detector = ~marker
-            ticks, channels = ticks[detector], channels[detector]
-        self._ticks.append(ticks)
-        self._channels.append(channels)
+        end = self._n + len(ticks)
+        if self._n == 0:
+            self._bufs = [ticks, channels]
+        else:
+            for k, values in enumerate((ticks, channels)):
+                buf = self._bufs[k]
+                if end > len(buf):
+                    grown = np.empty(max(end, 2 * len(buf)), dtype=buf.dtype)
+                    grown[:self._n] = buf[:self._n]
+                    self._bufs[k] = buf = grown
+                buf[self._n:end] = values
+        self._n = end
 
     @property
     def ticks(self) -> np.ndarray:
-        return self._ticks.view()
+        return self._bufs[0][:self._n]
 
     @property
     def channels(self) -> np.ndarray:
-        return self._channels.view()
-
-    @property
-    def markers(self) -> np.ndarray:
-        return self._markers.view()
+        return self._bufs[1][:self._n]
 
 
 class SyncPipeline:
@@ -388,15 +375,18 @@ class SyncPipeline:
     chunked on arrival. A tracked block is complete once the receiver
     stream reaches the end of what its fine stage reads: the block's end
     shifted by the predicted offset, plus the 0.5 s rate window. A block
-    that opens with an acquisition waits for the acquisition window, the
-    blind search span and 1.5 s, which covers the one-second retries
-    around the GPS centre. finish() closes the receiver stream, processes
-    the remaining blocks and extracts the coincidences. run_offline is one
-    feed of the whole receiver stream followed by finish().
+    that opens with an acquisition waits for the later of the acquisition
+    window and its own rate window, plus the blind search span and 1.5 s,
+    which covers the one-second retries around the GPS centre. finish()
+    closes the receiver stream and processes the remaining blocks; the
+    coincidences of the whole run are extracted when first read.
+    run_offline is one feed of the whole receiver stream followed by
+    finish().
 
-    Each station's tags are split once, on arrival, into detector ticks,
-    detector channels and marker ticks; correlation, tracking and
-    extraction all read those stores, so no feed touches data that
+    Each station's tags are kept once, as recorded, markers included: the
+    local TagStream's arrays by reference, and the receiver's chunks in
+    one append-only store. Every read bisects for its window and drops
+    the markers inside that window only, so no feed touches data that
     arrived before it.
     """
 
@@ -405,9 +395,8 @@ class SyncPipeline:
         if len(alice) == 0:
             raise EmptyBlockError("local stream is empty")
         self._tk = tk = _Ticks.of(cfg)
-        self._alice = _Detections()
-        self._alice.append(alice.ticks, alice.channels)
-        self._bob = _Detections()
+        self._alice = alice
+        self._bob = _Recorded()
         self._b_last: int | None = None
         self._origin = int(alice.ticks[0])
         self._end = int(alice.ticks[-1])
@@ -434,17 +423,17 @@ class SyncPipeline:
         return self._advance()
 
     def finish(self) -> list[BlockStatus]:
-        """Close the receiver stream, process the remaining blocks and
-        extract the coincidences of the whole run."""
+        """Close the receiver stream and process the remaining blocks."""
         self._b_finished = True
-        done = self._advance()
-        self._events = extract_coincidences(self._alice, self._bob, self.state, self.cfg)
-        return done
+        return self._advance()
 
     @property
     def coincidences(self) -> Coincidences:
-        if self._events is None:
+        """The coincidences of the whole run, extracted on first read."""
+        if not self._b_finished:
             raise RuntimeError("pipeline not finished yet")
+        if self._events is None:
+            self._events = extract_coincidences(self._alice, self._bob, self.state, self.cfg)
         return self._events
 
     def _receive(self, ticks: np.ndarray, channels: np.ndarray) -> None:
@@ -485,9 +474,11 @@ class SyncPipeline:
             center = seconds_to_ticks(self._predict((start + end) // 2))
             ends += [hi for _lo, hi in self._fine_windows(start, end, center)]
         if self.state.current is None or self._acquisition_due(i):
-            # The acquisition window plus the blind span, or the GPS centre
-            # with its one-second retries.
-            ends.append(min(max(end, start + tk.acquisition_span), self._end)
+            # The acquisition window, or the block's own fine stage after
+            # it acquires, plus the blind span, or the GPS centre with its
+            # one-second retries.
+            ends.append(max(min(max(end, start + tk.acquisition_span), self._end),
+                            end + _RATE_PAD)
                         + tk.blind_search_span + 3 * TICKS_PER_SECOND // 2)
         return self._b_last >= max(ends)
 
@@ -577,15 +568,16 @@ class SyncPipeline:
     def _fine_measure(self, start: int, end: int, predicted: float) -> tuple[float, float]:
         """Fine correlation of one block around a predicted offset (s)."""
         tk = self._tk
-        a_slice = _between(self._alice.ticks, start, end)
+        a_slice = _detections(self._alice, start, end)
         if len(a_slice) == 0:
             return math.nan, 0.0
         center = seconds_to_ticks(predicted)
         (b_lo, b_hi), (r_lo, r_hi) = self._fine_windows(start, end, center)
-        b_slice = _between(self._bob.ticks, b_lo, b_hi)
+        b_slice = _detections(self._bob, b_lo, b_hi)
         if len(b_slice) == 0:
             return math.nan, 0.0
-        rate_b = len(_between(self._bob.ticks, r_lo, r_hi)) / (r_hi - r_lo)
+        r_ticks, r_marker = _window(self._bob, r_lo, r_hi)
+        rate_b = (len(r_ticks) - np.count_nonzero(r_marker)) / (r_hi - r_lo)
         corr = cross_correlate(a_slice, b_slice, center, 2 * tk.coarse_bin, tk.fine_bin,
                                expected_per_bin=len(a_slice) * rate_b * tk.fine_bin)
         return ticks_to_seconds(_centroid(corr)), corr.significance
@@ -597,12 +589,16 @@ class SyncPipeline:
         stop = min(start + tk.acquisition_span, self._end)
         if stop - start < tk.block_span:
             return None
-        a_slice = _between(self._alice.ticks, start, stop)
-        if len(a_slice) == 0 or len(self._bob.ticks) == 0:
+        a_ticks, a_marker = _window(self._alice, start, stop)
+        a_slice = a_ticks[~a_marker]
+        if len(a_slice) == 0:
             return None
 
-        center = _marker_offset(_between(self._alice.markers, start, stop),
-                                self._bob.markers)
+        # Receiver markers more than a second outside the window share no
+        # whole second with a local one (see _marker_offset).
+        b_ticks, b_marker = _window(self._bob, start - TICKS_PER_SECOND,
+                                    stop + TICKS_PER_SECOND)
+        center = _marker_offset(a_ticks[a_marker], b_ticks[b_marker])
         if center is None:
             found = self._two_stage(a_slice, start, stop, 0, tk.blind_search_span)
         else:
@@ -626,8 +622,8 @@ class SyncPipeline:
         None unless both stages clear the threshold."""
         cfg, tk = self.cfg, self._tk
         pad = 2 * tk.coarse_bin
-        b_slice = _between(self._bob.ticks, start + center - span - pad,
-                           stop + center + span + pad)
+        b_slice = _detections(self._bob, start + center - span - pad,
+                              stop + center + span + pad)
         if len(b_slice) == 0:
             return None
         rate_b = len(b_slice) / max(stop - start + 2 * span, tk.block_span)
@@ -638,8 +634,8 @@ class SyncPipeline:
 
         fine_center = round(coarse.peak_offset)
         fine_span = 2 * tk.coarse_bin
-        b_fine = _between(self._bob.ticks, start + fine_center - fine_span - pad,
-                          stop + fine_center + fine_span + pad)
+        b_fine = _detections(self._bob, start + fine_center - fine_span - pad,
+                             stop + fine_center + fine_span + pad)
         if len(b_fine) == 0:
             return None
         fine = cross_correlate(a_slice, b_fine, fine_center, fine_span, tk.fine_bin,
@@ -684,17 +680,18 @@ class Coincidences:
         return len(self.alice_ticks)
 
 
-def extract_coincidences(alice: TagStream | _Detections, bob: TagStream | _Detections,
+def extract_coincidences(alice: TagStream, bob: TagStream | _Recorded,
                          state: LockState,
                          cfg: CorrelatorConfig | None = None) -> Coincidences:
     """Pair detector tags inside locked blocks.
 
-    alice and bob are tag streams, or the engine's stores of detector
-    tags; GPS markers never pair. Candidates within the window are
-    accepted greedily in order of residual (ties broken by earlier local,
-    then receiver, tick), each tag at most once. Working in integer ticks
-    with the block offset rounded to the nearest tick makes the window
-    edge exact: a pair at exactly tau is in, one tick beyond is out.
+    alice and bob are tag streams, or bob the engine's store of the
+    receiver's tags, GPS markers included; markers never pair.
+    Candidates within the window are accepted greedily in order of
+    residual (ties broken by earlier local, then receiver, tick), each tag
+    at most once. Working in integer ticks with the block offset rounded
+    to the nearest tick makes the window edge exact: a pair at exactly
+    tau is in, one tick beyond is out.
 
     A candidate that shares neither tag with another candidate of its
     block, and whose receiver tag no earlier block took, wins whatever
@@ -704,7 +701,6 @@ def extract_coincidences(alice: TagStream | _Detections, bob: TagStream | _Detec
     cfg = cfg or CorrelatorConfig()
     a_ticks, a_chans = alice.ticks, alice.channels
     b_ticks, b_chans = bob.ticks, bob.channels
-    marker = int(ChannelCode.GPS_MARKER)
     tau_ticks = seconds_to_ticks(cfg.coincidence_window)
     used_b = np.zeros(len(b_ticks), dtype=bool)
 
@@ -738,7 +734,7 @@ def extract_coincidences(alice: TagStream | _Detections, bob: TagStream | _Detec
         cand_a, cand_b = (inner, outer) if b_side else (outer, inner)
         # Marker candidates go; a receiver tag an earlier block took is
         # skipped by the greedy pass without effect on any other candidate.
-        open_b = ~used_b[cand_b] & (a_chans[cand_a] != marker) & (b_chans[cand_b] != marker)
+        open_b = ~used_b[cand_b] & (a_chans[cand_a] != _MARKER) & (b_chans[cand_b] != _MARKER)
         cand_a, cand_b = cand_a[open_b], cand_b[open_b]
         if len(cand_a) == 0:
             continue

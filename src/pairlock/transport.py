@@ -39,7 +39,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .timetags import Station, TagStream
+from .timetags import Station, TagStream, decode_words, encode_words
 
 PROTOCOL_VERSION = 1
 MAX_BLOCK_TAGS = 8192
@@ -59,9 +59,10 @@ _CRC = struct.Struct("<I")
 ACK = b"A"
 NAK = b"N"
 
-# The hello is read under the short _HELLO_TIMEOUT, so a client that
-# connects and stays silent is dropped within it instead of holding the
-# serial accept loop for _RECORD_TIMEOUT, the limit after the hello.
+# The whole hello must arrive within _HELLO_TIMEOUT, so a client that
+# connects and stays silent, or trickles its hello, is dropped within it
+# instead of holding the serial accept loop for _RECORD_TIMEOUT, the
+# per-read limit after the hello.
 _HELLO_TIMEOUT = 2.0
 _RECORD_TIMEOUT = 30.0
 # Connect and per-reply timeout on the sending side.
@@ -104,8 +105,8 @@ class TagBlock:
         words = np.asarray(self.words, dtype=np.uint64)
         if len(words) > MAX_BLOCK_TAGS:
             raise OversizeBlockError(f"{len(words)} tags exceed the block limit")
-        ticks = (words >> np.uint64(4)).astype(np.int64)
-        if len(ticks) > 1 and np.any(np.diff(ticks) < 0):
+        ticks, _channels = decode_words(words)
+        if np.any(ticks[1:] < ticks[:-1]):
             raise ValueError("block payload must be in time order")
         object.__setattr__(self, "words", words)
 
@@ -138,7 +139,7 @@ def decode_block(data: bytes) -> TagBlock:
     words = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
     try:
         return TagBlock(sequence, Station(station), words)
-    except ValueError as exc:  # unknown station id or unsorted payload
+    except ValueError as exc:  # unknown station id or channel nibble, unsorted payload
         raise FrameError(f"block {sequence}: {exc}") from exc
 
 
@@ -151,10 +152,17 @@ def iter_blocks(words: np.ndarray, station: Station,
         yield TagBlock(seq, station, words[start:start + block_tags])
 
 
-def _read_exact(conn: socket.socket, n: int) -> bytes:
+def _read_exact(conn: socket.socket, n: int, deadline: float | None = None) -> bytes:
+    """n bytes from conn; a deadline (time.monotonic()) bounds the whole
+    read, not only each recv."""
     buf = bytearray()
     while len(buf) < n:
         try:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise socket.timeout("timed out")
+                conn.settimeout(remaining)
             chunk = conn.recv(n - len(buf))
         except (OSError, ValueError) as exc:
             raise ConnectionLostError(str(exc)) from exc
@@ -255,8 +263,7 @@ class ReceiverServer:
                 self._on_end()
 
     def _handle_connection(self, conn: socket.socket) -> None:
-        conn.settimeout(_HELLO_TIMEOUT)
-        raw = _read_exact(conn, _HELLO.size)
+        raw = _read_exact(conn, _HELLO.size, time.monotonic() + _HELLO_TIMEOUT)
         conn.settimeout(_RECORD_TIMEOUT)
         magic, version, _station, _res, session_id = _HELLO.unpack(raw)
         if magic != HELLO_MAGIC or version != PROTOCOL_VERSION:
@@ -387,6 +394,5 @@ def send_words(host: str, port: int, words: np.ndarray, station: Station, *,
 
 
 def send_stream(host: str, port: int, stream: TagStream, **kwargs) -> SendStats:
-    from .timetags import encode_words
     words = encode_words(stream.ticks, stream.channels)
     return send_words(host, port, words, stream.station, **kwargs)

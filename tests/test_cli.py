@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import threading
 import time
@@ -167,6 +168,11 @@ def test_serve_and_send_match_offline(tmp_path, capsys):
     server.join(timeout=30.0)
     assert result.get("rc") == 0
     assert live.read_bytes() == offline.read_bytes()
+    # one status line per block, the trailing block's included
+    out = capsys.readouterr().out
+    n_blocks = int(re.search(r"blocks locked: +\d+/(\d+)", out).group(1))
+    statuses = re.findall(r"^block +(\d+) \[", out, flags=re.MULTILINE)
+    assert [int(i) for i in statuses] == list(range(n_blocks))
 
 
 def test_serve_exits_on_a_sequence_gap(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -455,6 +456,8 @@ def test_blocks_only_complete_once_data_has_arrived():
     done_mid = pipeline.feed_bob(bob.ticks[half:ninety], bob.channels[half:ninety])
     assert 0 < len(done_mid) < 15
     pipeline.feed_bob(bob.ticks[ninety:], bob.channels[ninety:])
+    with pytest.raises(RuntimeError):
+        pipeline.coincidences  # extraction waits for the closed stream
     pipeline.finish()
     assert len(pipeline.state.blocks) == 15
 
@@ -482,6 +485,21 @@ def test_locked_block_completes_when_its_read_window_has_arrived():
         [(block.start_tick, block.end_tick, True)]
 
 
+def test_engine_reads_the_recorded_arrays_without_copying():
+    alice, bob, *_ = _reference_run(15.0, 0.3, seed=39)
+    half = len(bob.ticks) // 2
+    b_ticks, b_channels = bob.ticks[:half], bob.channels[:half]
+    passed = sum(a.nbytes for a in (alice.ticks, alice.channels, b_ticks, b_channels))
+    tracemalloc.start()
+    try:
+        pipeline = SyncPipeline(alice)
+        assert pipeline.feed_bob(b_ticks, b_channels) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * passed
+
+
 @pytest.mark.parametrize("chunk", [1024, 8192])
 def test_streamed_chunks_equal_offline_results_at_a_negative_offset(chunk):
     alice, bob, *_ = _reference_run(15.0, -0.3, seed=41)
@@ -495,6 +513,27 @@ def test_streamed_chunks_equal_offline_results_at_a_negative_offset(chunk):
     pipeline.finish()
     assert pipeline.state.blocks == state.blocks
     _assert_same_events(pipeline.coincidences, events, 0)
+
+
+def test_streamed_equals_offline_when_the_last_block_acquires():
+    # One 1.04 s block opens with an acquisition at a 1.3 s offset; its
+    # fine stage then reads receiver data up to end + 1.3 s + 0.5 s, past
+    # the acquisition's own reach, so a split at 1.6 s must not complete it.
+    link = replace(reference_link(), pair_rate=1e6)
+    ca, cb = reference_clocks(relative_offset=1.3)
+    alice, bob = generate_streams(6.0, link, ca, cb, pol=reference_polarization(), seed=3)
+    keep = alice.ticks < alice.ticks[0] + seconds_to_ticks(1.04)
+    alice = TagStream(alice.station, alice.ticks[keep], alice.channels[keep])
+    offline_state, offline_events = run_offline(alice, bob)
+    assert [block.locked for block in offline_state.blocks] == [True]
+
+    split = int(np.searchsorted(bob.ticks, alice.ticks[-1] + seconds_to_ticks(1.6)))
+    pipeline = SyncPipeline(alice)
+    assert pipeline.feed_bob(bob.ticks[:split], bob.channels[:split]) == []
+    pipeline.feed_bob(bob.ticks[split:], bob.channels[split:])
+    pipeline.finish()
+    assert pipeline.state.blocks == offline_state.blocks
+    _assert_same_events(pipeline.coincidences, offline_events, 0)
 
 
 @pytest.mark.parametrize("offset", [0.55, -0.7])

@@ -227,7 +227,9 @@ def _raw_frame(station, words):
     _hello() + _raw_frame(7, _words(4)),
     _hello() + _raw_frame(int(Station.BOB), _words(4)[::-1].copy()),
     _hello() + b"ETBK" + struct.pack("<HBBQI", 1, 1, 0, 0, MAX_BLOCK_TAGS + 1),
-], ids=["bad-hello", "bad-station", "unsorted", "oversize"])
+    # CRC-valid, but nibble 5 is no channel code
+    _hello() + _raw_frame(int(Station.BOB), _words(4) | np.uint64(5)),
+], ids=["bad-hello", "bad-station", "unsorted", "oversize", "bad-nibble"])
 def test_junk_client_is_dropped_and_the_next_sender_is_served(junk):
     words = _words(10_000)
     server = ReceiverServer().start()
@@ -248,19 +250,37 @@ def test_junk_client_is_dropped_and_the_next_sender_is_served(junk):
     assert np.array_equal(server.words(), words)
 
 
-def test_silent_client_does_not_stall_the_next_sender():
-    # a client that connects and never sends its hello is dropped after
-    # the short hello timeout, not after the 30 s record timeout
+def _trickle_hello(conn, stop):
+    """Send a hello one byte every 1.5 s until stopped or dropped."""
+    for byte in _hello():
+        if stop.wait(1.5):
+            return
+        try:
+            conn.sendall(bytes([byte]))
+        except OSError:
+            return
+
+
+@pytest.mark.parametrize("trickle", [False, True], ids=["silent", "trickling"])
+def test_silent_client_does_not_stall_the_next_sender(trickle):
+    # a client that connects and never completes its hello is dropped
+    # once the hello deadline passes, not after the 30 s record timeout,
+    # however slowly it trickles bytes in
     words = _words(10_000)
     server = ReceiverServer().start()
+    stop = threading.Event()
     try:
-        with socket.create_connection((server.host, server.port), timeout=10.0):
+        with socket.create_connection((server.host, server.port), timeout=10.0) as conn:
+            if trickle:
+                threading.Thread(target=_trickle_hello, args=(conn, stop), daemon=True).start()
             t0 = time.perf_counter()
             stats = send_words(server.host, server.port, words, Station.BOB,
                                block_tags=4096)
             elapsed = time.perf_counter() - t0
+            stop.set()
         assert server.wait(timeout=10.0)
     finally:
+        stop.set()
         server.stop()
     assert elapsed < 10.0
     assert np.array_equal(server.words(), words)
