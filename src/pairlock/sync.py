@@ -158,9 +158,18 @@ class LockState:
 
     mode: LockMode = LockMode.SEARCHING
     current: OffsetEstimate | None = None
-    locked_seconds_total: float = 0.0
     history: list[tuple[int, OffsetEstimate]] = field(default_factory=list)
     blocks: list[BlockStatus] = field(default_factory=list)
+
+    @property
+    def locked_seconds_total(self) -> float:
+        # Added one block at a time from 0.0, in block order, so the float
+        # does not depend on how sum() rounds.
+        total = 0.0
+        for block in self.blocks:
+            if block.locked:
+                total += ticks_to_seconds(block.end_tick - block.start_tick)
+        return total
 
 
 @dataclass(frozen=True)
@@ -324,15 +333,18 @@ def _window(tags, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return tags.ticks[i:j], tags.channels[i:j] == _MARKER
 
 
-def _detections(tags, lo: int, hi: int) -> np.ndarray:
-    """Detector ticks of a station's tags in [lo, hi)."""
-    ticks, marker = _window(tags, lo, hi)
+def _detections(ticks: np.ndarray, marker: np.ndarray) -> np.ndarray:
+    """The detector ticks of a window read by _window."""
     return ticks[~marker] if marker.any() else ticks
+
+
+class _Pending(Exception):
+    """A read reaches past the receiver data that has arrived."""
 
 
 class _Recorded:
     """The receiver's ticks and channels as they arrived, markers
-    included, append-only with geometric growth.
+    included, append-only with geometric growth, until closed.
 
     The first append keeps a reference to the caller's arrays, so a whole
     stream appended at once is not copied; later appends never write
@@ -342,8 +354,17 @@ class _Recorded:
     def __init__(self):
         self._bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)]
         self._n = 0
+        self.closed = False
 
     def append(self, ticks: np.ndarray, channels: np.ndarray) -> None:
+        if len(ticks) == 0:
+            return
+        if self.closed:
+            raise ValueError("receiver stream already finished")
+        if self._n and ticks[0] < self._bufs[0][self._n - 1]:
+            raise ValueError("receiver chunks must arrive in time order")
+        ticks = np.asarray(ticks, dtype=np.int64)
+        channels = np.asarray(channels, dtype=np.uint8)
         end = self._n + len(ticks)
         if self._n == 0:
             self._bufs = [ticks, channels]
@@ -356,6 +377,14 @@ class _Recorded:
                     self._bufs[k] = buf = grown
                 buf[self._n:end] = values
         self._n = end
+
+    def window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """_window over the tags recorded so far. Tags arrive in time
+        order, so while the stream is open, only a tag at or past hi
+        proves the window complete; without one this raises _Pending."""
+        if not self.closed and (self._n == 0 or self._bufs[0][self._n - 1] < hi):
+            raise _Pending
+        return _window(self, lo, hi)
 
     @property
     def ticks(self) -> np.ndarray:
@@ -370,24 +399,23 @@ class SyncPipeline:
     """The block-serial lock engine.
 
     Feed receiver tags in time order as they arrive: each feed processes
-    every block whose receiver data has all arrived and returns the new
-    block statuses, so results depend only on the data, not on how it was
-    chunked on arrival. A tracked block is complete once the receiver
-    stream reaches the end of what its fine stage reads: the block's end
-    shifted by the predicted offset, plus the 0.5 s rate window. A block
-    that opens with an acquisition waits for the later of the acquisition
-    window and its own rate window, plus the blind search span and 1.5 s,
-    which covers the one-second retries around the GPS centre. finish()
-    closes the receiver stream and processes the remaining blocks; the
-    coincidences of the whole run are extracted when first read.
-    run_offline is one feed of the whole receiver stream followed by
-    finish().
+    blocks in order and returns the new block statuses. A block completes
+    once every receiver window it reads has arrived; until then its first
+    read past the data stops the feed, and the next feed retries it in
+    full. No attempt commits state that would change what its retry does,
+    so results depend only on the data, not on how it was chunked on
+    arrival. finish() closes the receiver stream and processes the
+    remaining blocks; the coincidences of the whole run are extracted when
+    first read. run_offline is one feed of the whole receiver stream
+    followed by finish().
 
     Each station's tags are kept once, as recorded, markers included: the
     local TagStream's arrays by reference, and the receiver's chunks in
     one append-only store. Every read bisects for its window and drops
     the markers inside that window only, so no feed touches data that
-    arrived before it.
+    arrived before it. Each stage reads its receiver windows before its
+    local ones, so a stage waiting for data costs one comparison a feed;
+    only a pending one-second GPS retry redoes the trial before it.
     """
 
     def __init__(self, alice: TagStream, cfg: CorrelatorConfig | None = None):
@@ -397,11 +425,9 @@ class SyncPipeline:
         self._tk = tk = _Ticks.of(cfg)
         self._alice = alice
         self._bob = _Recorded()
-        self._b_last: int | None = None
         self._origin = int(alice.ticks[0])
         self._end = int(alice.ticks[-1])
         self.state = LockState()
-        self._b_finished = False
         self._events: Coincidences | None = None
         self._next_block = 0
         self._fails = 0
@@ -419,33 +445,22 @@ class SyncPipeline:
 
         The arrays may be kept by reference and must not change afterwards.
         """
-        self._receive(ticks, channels)
+        self._bob.append(ticks, channels)
         return self._advance()
 
     def finish(self) -> list[BlockStatus]:
         """Close the receiver stream and process the remaining blocks."""
-        self._b_finished = True
+        self._bob.closed = True
         return self._advance()
 
     @property
     def coincidences(self) -> Coincidences:
         """The coincidences of the whole run, extracted on first read."""
-        if not self._b_finished:
+        if not self._bob.closed:
             raise RuntimeError("pipeline not finished yet")
         if self._events is None:
             self._events = extract_coincidences(self._alice, self._bob, self.state, self.cfg)
         return self._events
-
-    def _receive(self, ticks: np.ndarray, channels: np.ndarray) -> None:
-        if len(ticks) == 0:
-            return
-        if self._b_finished:
-            raise ValueError("receiver stream already finished")
-        if self._b_last is not None and ticks[0] < self._b_last:
-            raise ValueError("receiver chunks must arrive in time order")
-        self._bob.append(np.asarray(ticks, dtype=np.int64),
-                         np.asarray(channels, dtype=np.uint8))
-        self._b_last = int(ticks[-1])
 
     def _block_bounds(self, i: int) -> tuple[int, int]:
         start = self._origin + i * self._tk.block_span
@@ -460,48 +475,17 @@ class SyncPipeline:
         return self._last_attempt is None \
             or i - self._last_attempt >= self.cfg.reacquire_interval
 
-    def _data_ready(self, i: int, start: int, end: int) -> bool:
-        """Whether every receiver tag block i reads has arrived. Tags
-        arrive in time order, so a tag at or past the end of a read window
-        proves that window complete."""
-        if self._b_finished:
-            return True
-        if self._b_last is None:
-            return False
-        tk = self._tk
-        ends: list[int] = []
-        if self.state.current is not None:
-            center = seconds_to_ticks(self._predict((start + end) // 2))
-            ends += [hi for _lo, hi in self._fine_windows(start, end, center)]
-        if self.state.current is None or self._acquisition_due(i):
-            # The acquisition window, or the block's own fine stage after
-            # it acquires, plus the blind span, or the GPS centre with its
-            # one-second retries.
-            ends.append(max(min(max(end, start + tk.acquisition_span), self._end),
-                            end + _RATE_PAD)
-                        + tk.blind_search_span + 3 * TICKS_PER_SECOND // 2)
-        return self._b_last >= max(ends)
-
     def _advance(self) -> list[BlockStatus]:
-        """Process all blocks whose receiver data is available."""
+        """Process blocks in order up to the first whose reads are pending."""
         done: list[BlockStatus] = []
         while self._next_block < self._n_blocks:
             start, end = self._block_bounds(self._next_block)
-            if not self._data_ready(self._next_block, start, end):
+            try:
+                done.append(self._process_block(self._next_block, start, end))
+            except _Pending:
                 break
-            done.append(self._process_block(self._next_block, start, end))
             self._next_block += 1
         return done
-
-    def _fine_windows(self, start: int, end: int,
-                      center: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Receiver tick windows [lo, hi) the fine stage reads for local
-        block [start, end) around a trial offset: the slice it correlates,
-        and the rate window, _RATE_PAD wider each side, whose tag count
-        prices the accidentals."""
-        reach = 3 * self._tk.coarse_bin + self._tk.coincidence_window
-        return ((start + center - reach, end + center + reach),
-                (start + center - _RATE_PAD, end + center + _RATE_PAD))
 
     def _predict(self, tick: int) -> float:
         """Offset (s) the current estimate predicts at a local tick."""
@@ -512,8 +496,11 @@ class SyncPipeline:
         cfg = self.cfg
         mid = (start + end) // 2
         if self._acquisition_due(i):
-            self._last_attempt = i
             acquired = self._attempt_acquire(start)
+            # Set only once the attempt returns, so a pending one is retried.
+            # A lock it acquired stays when the fine stage below is pending:
+            # the retry goes straight there.
+            self._last_attempt = i
             if acquired is not None:
                 self.state.current = acquired[1]
                 self.state.mode = LockMode.LOCKED
@@ -538,7 +525,6 @@ class SyncPipeline:
             self.state.history[-1] = (mid, updated)
             self.state.current = updated
             self.state.mode = LockMode.LOCKED
-            self.state.locked_seconds_total += ticks_to_seconds(end - start)
             self._fails = 0
             status = BlockStatus(start, end, True, measured, drift,
                                  significance, predicted)
@@ -566,17 +552,17 @@ class SyncPipeline:
         return float((t_c * offsets).sum() / denom)
 
     def _fine_measure(self, start: int, end: int, predicted: float) -> tuple[float, float]:
-        """Fine correlation of one block around a predicted offset (s)."""
+        """Fine correlation of one block around a predicted offset (s); the
+        receiver's tag count _RATE_PAD either side prices the accidentals."""
         tk = self._tk
-        a_slice = _detections(self._alice, start, end)
-        if len(a_slice) == 0:
-            return math.nan, 0.0
         center = seconds_to_ticks(predicted)
-        (b_lo, b_hi), (r_lo, r_hi) = self._fine_windows(start, end, center)
-        b_slice = _detections(self._bob, b_lo, b_hi)
-        if len(b_slice) == 0:
+        r_lo, r_hi = start + center - _RATE_PAD, end + center + _RATE_PAD
+        r_ticks, r_marker = self._bob.window(r_lo, r_hi)
+        reach = 3 * tk.coarse_bin + tk.coincidence_window
+        b_slice = _detections(*self._bob.window(start + center - reach, end + center + reach))
+        a_slice = _detections(*_window(self._alice, start, end))
+        if len(a_slice) == 0 or len(b_slice) == 0:
             return math.nan, 0.0
-        r_ticks, r_marker = _window(self._bob, r_lo, r_hi)
         rate_b = (len(r_ticks) - np.count_nonzero(r_marker)) / (r_hi - r_lo)
         corr = cross_correlate(a_slice, b_slice, center, 2 * tk.coarse_bin, tk.fine_bin,
                                expected_per_bin=len(a_slice) * rate_b * tk.fine_bin)
@@ -589,15 +575,15 @@ class SyncPipeline:
         stop = min(start + tk.acquisition_span, self._end)
         if stop - start < tk.block_span:
             return None
+        # Receiver markers more than a second outside the window share no
+        # whole second with a local one (see _marker_offset).
+        b_ticks, b_marker = self._bob.window(start - TICKS_PER_SECOND,
+                                             stop + TICKS_PER_SECOND)
         a_ticks, a_marker = _window(self._alice, start, stop)
         a_slice = a_ticks[~a_marker]
         if len(a_slice) == 0:
             return None
 
-        # Receiver markers more than a second outside the window share no
-        # whole second with a local one (see _marker_offset).
-        b_ticks, b_marker = _window(self._bob, start - TICKS_PER_SECOND,
-                                    stop + TICKS_PER_SECOND)
         center = _marker_offset(a_ticks[a_marker], b_ticks[b_marker])
         if center is None:
             found = self._two_stage(a_slice, start, stop, 0, tk.blind_search_span)
@@ -622,8 +608,8 @@ class SyncPipeline:
         None unless both stages clear the threshold."""
         cfg, tk = self.cfg, self._tk
         pad = 2 * tk.coarse_bin
-        b_slice = _detections(self._bob, start + center - span - pad,
-                              stop + center + span + pad)
+        b_slice = _detections(*self._bob.window(start + center - span - pad,
+                                                stop + center + span + pad))
         if len(b_slice) == 0:
             return None
         rate_b = len(b_slice) / max(stop - start + 2 * span, tk.block_span)
@@ -634,8 +620,8 @@ class SyncPipeline:
 
         fine_center = round(coarse.peak_offset)
         fine_span = 2 * tk.coarse_bin
-        b_fine = _detections(self._bob, start + fine_center - fine_span - pad,
-                             stop + fine_center + fine_span + pad)
+        b_fine = _detections(*self._bob.window(start + fine_center - fine_span - pad,
+                                               stop + fine_center + fine_span + pad))
         if len(b_fine) == 0:
             return None
         fine = cross_correlate(a_slice, b_fine, fine_center, fine_span, tk.fine_bin,
@@ -653,7 +639,8 @@ def acquire_lock(alice: TagStream, bob: TagStream,
     threshold.
     """
     pipeline = SyncPipeline(alice, cfg)
-    pipeline._receive(bob.ticks, bob.channels)
+    pipeline._bob.append(bob.ticks, bob.channels)
+    pipeline._bob.closed = True
     acquired = pipeline._attempt_acquire(pipeline._origin)
     if acquired is None:
         raise NoLockError("no correlation peak above threshold")

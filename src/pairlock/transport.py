@@ -59,11 +59,12 @@ _CRC = struct.Struct("<I")
 ACK = b"A"
 NAK = b"N"
 
-# The whole hello must arrive within _HELLO_TIMEOUT, so a client that
-# connects and stays silent, or trickles its hello, is dropped within it
-# instead of holding the serial accept loop for _RECORD_TIMEOUT, the
-# per-read limit after the hello.
-_HELLO_TIMEOUT = 2.0
+# The whole hello, and the rest of each record once its magic is in, must
+# arrive within _RECORD_DEADLINE, so a client that stays silent, trickles
+# its hello or stalls mid-record is dropped within it instead of holding
+# the serial accept loop for _RECORD_TIMEOUT, the limit on each wait for
+# the next record.
+_RECORD_DEADLINE = 2.0
 _RECORD_TIMEOUT = 30.0
 # Connect and per-reply timeout on the sending side.
 _SEND_TIMEOUT = 10.0
@@ -212,9 +213,10 @@ class ReceiverServer:
 
     Survives sender disconnects: session state is keyed by the hello's
     session id, so a reconnecting sender resumes at the first unacked
-    block. A connection that sends a malformed or oversize record, or no
-    hello within two seconds, is dropped and the server keeps listening;
-    a sequence gap is fatal.
+    block. A connection that sends a malformed or oversize record, or
+    takes over two seconds for its hello or for the rest of a record once
+    its magic is in, is dropped and the server keeps listening; a
+    sequence gap is fatal.
     wait() returns once the sender's end record arrives, and raises the
     fatal error if there was one. on_end, when given, is called once from
     the receiving thread when it stops (end record, fatal error or
@@ -263,8 +265,7 @@ class ReceiverServer:
                 self._on_end()
 
     def _handle_connection(self, conn: socket.socket) -> None:
-        raw = _read_exact(conn, _HELLO.size, time.monotonic() + _HELLO_TIMEOUT)
-        conn.settimeout(_RECORD_TIMEOUT)
+        raw = _read_exact(conn, _HELLO.size, time.monotonic() + _RECORD_DEADLINE)
         magic, version, _station, _res, session_id = _HELLO.unpack(raw)
         if magic != HELLO_MAGIC or version != PROTOCOL_VERSION:
             raise FrameError("bad hello record")
@@ -272,9 +273,11 @@ class ReceiverServer:
         self._active = session
         conn.sendall(_HELLO_REPLY.pack(HELLO_REPLY_MAGIC, session.next_sequence))
         while True:
+            conn.settimeout(_RECORD_TIMEOUT)
             magic = _read_exact(conn, 4)
+            deadline = time.monotonic() + _RECORD_DEADLINE
             if magic == END_MAGIC:
-                (total,) = struct.unpack("<Q", _read_exact(conn, 8))
+                (total,) = struct.unpack("<Q", _read_exact(conn, 8, deadline))
                 if total != session.next_sequence:
                     raise SequenceGapError(
                         f"end record names {total} blocks, received {session.next_sequence}")
@@ -283,14 +286,14 @@ class ReceiverServer:
                 return
             if magic != FRAME_MAGIC:
                 raise FrameError(f"unexpected record magic {magic!r}")
-            rest = _read_exact(conn, _FRAME_HEADER.size - 4)
+            rest = _read_exact(conn, _FRAME_HEADER.size - 4, deadline)
             header = magic + rest
             _m, version, _station, _res, sequence, count = _FRAME_HEADER.unpack(header)
             if version != PROTOCOL_VERSION:
                 raise FrameError(f"unsupported protocol version {version}")
             if count > MAX_BLOCK_TAGS:
                 raise OversizeBlockError(f"frame announces {count} tags")
-            body = _read_exact(conn, 8 * count + _CRC.size)
+            body = _read_exact(conn, 8 * count + _CRC.size, deadline)
             try:
                 block = decode_block(header + body)
             except ChecksumMismatchError:

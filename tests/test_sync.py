@@ -265,6 +265,12 @@ def test_lock_drops_in_a_dead_span_and_reacquires():
     gap_events = (events.alice_ticks > int(8.5 * 8e9)) \
         & (events.alice_ticks < int(12.5 * 8e9))
     assert not gap_events.any()
+    # streamed through the outage, the same blocks lock and drop
+    pipeline = SyncPipeline(alice)
+    for start in range(0, len(bob.ticks), 1024):
+        pipeline.feed_bob(bob.ticks[start:start + 1024], bob.channels[start:start + 1024])
+    pipeline.finish()
+    assert pipeline.state.blocks == state.blocks
 
 
 def _one_block_state(offset, start_tick=0, end_tick=8_000_000):
@@ -483,6 +489,23 @@ def test_locked_block_completes_when_its_read_window_has_arrived():
     done = pipeline.feed_bob(np.array([need], dtype=np.int64), np.array([detector]))
     assert [(b.start_tick, b.end_tick, b.locked) for b in done] == \
         [(block.start_tick, block.end_tick, True)]
+
+
+def test_acquisition_block_completes_when_its_own_reads_have_arrived():
+    alice, bob, *_ = _reference_run(15.0, 0.3, seed=39)
+    state, _ = run_offline(alice, bob)
+    # The first acquisition reads receiver markers up to a second past its
+    # 10 s window; its searches and the fine stages of blocks 0..9 read
+    # less than that at a 0.3 s offset.
+    need = int(alice.ticks[0]) + 11 * TICKS_PER_SECOND
+    k = int(np.searchsorted(bob.ticks, need - 1))
+    detector = np.uint8(ChannelCode.CH1)
+
+    pipeline = SyncPipeline(alice)
+    assert pipeline.feed_bob(np.append(bob.ticks[:k], need - 1),
+                             np.append(bob.channels[:k], detector)) == []
+    done = pipeline.feed_bob(np.array([need], dtype=np.int64), np.array([detector]))
+    assert done == state.blocks[:10]
 
 
 def test_engine_reads_the_recorded_arrays_without_copying():

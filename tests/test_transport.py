@@ -261,18 +261,20 @@ def _trickle_hello(conn, stop):
             return
 
 
-@pytest.mark.parametrize("trickle", [False, True], ids=["silent", "trickling"])
-def test_silent_client_does_not_stall_the_next_sender(trickle):
-    # a client that connects and never completes its hello is dropped
-    # once the hello deadline passes, not after the 30 s record timeout,
-    # however slowly it trickles bytes in
+@pytest.mark.parametrize("client", ["silent", "trickling", "stalled-frame"])
+def test_silent_client_does_not_stall_the_next_sender(client):
+    # a client that connects and never completes its hello, or stops
+    # inside a frame, is dropped once the 2 s record deadline passes, not
+    # after the 30 s record timeout, however slowly it trickles bytes in
     words = _words(10_000)
     server = ReceiverServer().start()
     stop = threading.Event()
     try:
         with socket.create_connection((server.host, server.port), timeout=10.0) as conn:
-            if trickle:
+            if client == "trickling":
                 threading.Thread(target=_trickle_hello, args=(conn, stop), daemon=True).start()
+            elif client == "stalled-frame":
+                conn.sendall(_hello(session_id=99) + b"ETBK")
             t0 = time.perf_counter()
             stats = send_words(server.host, server.port, words, Station.BOB,
                                block_tags=4096)
