@@ -68,6 +68,7 @@ from .timetags import (
     TagStream,
     decode_words,
     encode_words,
+    iter_tagfile,
     read_tagfile,
     seconds_to_ticks,
     ticks_to_seconds,
@@ -100,7 +101,7 @@ __all__ = [
     "ChannelCode", "Station", "TagStream",
     "InvalidChannelError", "TagFileError",
     "encode_words", "decode_words", "ticks_to_seconds", "seconds_to_ticks",
-    "read_tagfile", "write_tagfile",
+    "iter_tagfile", "read_tagfile", "write_tagfile",
     # simulate
     "PolarizationModel", "MeasurementSettings", "LinkDetectorConfig", "ClockModel",
     "InvalidConfigError", "joint_outcome_probabilities",

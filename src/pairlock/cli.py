@@ -28,15 +28,15 @@ from .bell import accumulate, bell_report
 from .config import ConfigError, RunConfig, load_run_config
 from .simulate import ClockModel, generate_streams, relative_offset_at
 from .sync import (
-    NoLockError,
     SyncPipeline,
     locked_seconds_from_timeline,
     read_coincidence_log,
-    run_offline,
+    run_offline,  # noqa: F401  unused here; pairbench's tracer rebinds it
     write_coincidence_log,
     write_lock_timeline,
 )
-from .timetags import Station, decode_words, read_tagfile, ticks_to_seconds, write_tagfile
+from .timetags import (Station, decode_words, iter_tagfile, read_tagfile, ticks_to_seconds,
+                       write_tagfile)
 from .transport import ConnectionLostError, ReceiverServer, TransportError, send_stream
 
 EXIT_OK = 0
@@ -105,13 +105,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _finish_lock(args: argparse.Namespace, state, events) -> int:
-    """The tail lock and serve share: exit 3 without any locked block,
-    otherwise write the log and timeline and print the summary."""
+def _finish_lock(args: argparse.Namespace, pipeline: SyncPipeline) -> int:
+    """The tail lock and serve share, once the pipeline has finished:
+    exit 3 without any locked block, otherwise write the log and
+    timeline and print the summary."""
+    state = pipeline.state
     if state.locked_seconds_total == 0.0:
         print("no lock: correlation peak never cleared the threshold",
               file=sys.stderr)
         return EXIT_NO_LOCK
+    events = pipeline.coincidences
     write_coincidence_log(args.out, events)
     if args.timeline is not None:
         write_lock_timeline(args.timeline, state)
@@ -127,19 +130,20 @@ def _finish_lock(args: argparse.Namespace, state, events) -> int:
 
 
 def _cmd_lock(args: argparse.Namespace) -> int:
+    """Bob's file goes into the engine a decoded chunk at a time, as
+    serve's frames do, so only the local file is held whole."""
     cfg = _load_config(args.config)
     alice = read_tagfile(args.alice)
-    bob = read_tagfile(args.bob)
-    if alice.station != Station.ALICE or bob.station != Station.BOB:
+    bob_station, _, bob_chunks = iter_tagfile(args.bob)
+    if alice.station != Station.ALICE or bob_station != Station.BOB:
         print("error: station ids in the input files are swapped or wrong",
               file=sys.stderr)
         return EXIT_FAILURE
-    try:
-        state, events = run_offline(alice, bob, cfg.correlator)
-    except NoLockError as exc:
-        print(f"no lock: {exc}", file=sys.stderr)
-        return EXIT_NO_LOCK
-    return _finish_lock(args, state, events)
+    pipeline = SyncPipeline(alice, cfg.correlator)
+    for ticks, channels in bob_chunks:
+        pipeline.feed_bob(ticks, channels)
+    pipeline.finish()
+    return _finish_lock(args, pipeline)
 
 
 def _cmd_bell(args: argparse.Namespace) -> int:
@@ -208,7 +212,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.stop()
     report(pipeline.finish())
-    return _finish_lock(args, pipeline.state, pipeline.coincidences)
+    return _finish_lock(args, pipeline)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,7 +25,8 @@ The receiver's stream is aligned to the local one in three steps:
 Significance is the peak bin count over the expected accidental count per
 bin, with the expectation floored at one count so the ratio stays
 meaningful for sparse histograms. Coincidences are extracted from locked
-blocks only, by a one-to-one greedy pairing in order of residual.
+blocks only, as each closes, by a one-to-one greedy pairing in order of
+residual.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum, auto
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -342,19 +344,40 @@ class _Pending(Exception):
     """A read reaches past the receiver data that has arrived."""
 
 
+# Below every tick, so the first block's reads pass the floor.
+_NO_FLOOR = -(1 << 63)
+
+
 class _Recorded:
     """The receiver's ticks and channels as they arrived, markers
-    included, append-only with geometric growth, until closed.
+    included, until closed, plus the stream indices of the receiver tags
+    that coincidences took.
 
-    The first append keeps a reference to the caller's arrays, so a whole
-    stream appended at once is not copied; later appends never write
-    into them.
+    The engine raises a floor as blocks complete: the lowest tick any
+    later read can reach. A read below it raises RuntimeError, and the
+    taken tags below it are forgotten. When the store next grows, it
+    copies only the tags at or above the floor into a fresh buffer, so a
+    live run keeps a few seconds of the stream however long it is. The
+    first append keeps a reference to the caller's arrays, so a whole
+    stream appended at once is not copied; no append writes into them.
     """
 
     def __init__(self):
         self._bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)]
         self._n = 0
+        self._owned = False  # False while the buffers are the caller's arrays
+        self.base = 0  # stream index of the buffers' first tag
+        self.floor = _NO_FLOOR
+        self.taken = np.empty(0, dtype=np.int64)  # stream indices
         self.closed = False
+
+    @classmethod
+    def of(cls, stream) -> "_Recorded":
+        """A closed store over a whole stream's arrays."""
+        store = cls()
+        store.append(stream.ticks, stream.channels)
+        store.closed = True
+        return store
 
     def append(self, ticks: np.ndarray, channels: np.ndarray) -> None:
         if len(ticks) == 0:
@@ -365,26 +388,54 @@ class _Recorded:
             raise ValueError("receiver chunks must arrive in time order")
         ticks = np.asarray(ticks, dtype=np.int64)
         channels = np.asarray(channels, dtype=np.uint8)
-        end = self._n + len(ticks)
         if self._n == 0:
             self._bufs = [ticks, channels]
-        else:
-            for k, values in enumerate((ticks, channels)):
-                buf = self._bufs[k]
-                if end > len(buf):
-                    grown = np.empty(max(end, 2 * len(buf)), dtype=buf.dtype)
-                    grown[:self._n] = buf[:self._n]
-                    self._bufs[k] = buf = grown
-                buf[self._n:end] = values
+            self._n = len(ticks)
+            return
+        size = len(self._bufs[0])
+        drop = int(np.searchsorted(self.ticks, self.floor))
+        # A buffer of the store's own that holds more tags below the floor
+        # than above it is replaced too, so the store soon shrinks to what
+        # is still read. Each tag dropped pays for at most one copy.
+        if self._n + len(ticks) > size or (self._owned and 2 * drop > self._n):
+            keep = self._n - drop
+            for k, buf in enumerate(self._bufs):
+                fresh = np.empty(2 * (keep + len(ticks)), dtype=buf.dtype)
+                fresh[:keep] = buf[drop:self._n]
+                self._bufs[k] = fresh
+            self._owned = True
+            self.base += drop
+            self._n = keep
+        end = self._n + len(ticks)
+        for buf, values in zip(self._bufs, (ticks, channels)):
+            buf[self._n:end] = values
         self._n = end
 
-    def window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """_window over the tags recorded so far. Tags arrive in time
+    def trim(self, floor: int) -> None:
+        """Raise the floor to a tick no later read reaches below."""
+        self.floor = max(self.floor, floor)
+        first = self.base + int(np.searchsorted(self.ticks, self.floor))
+        self.taken = self.taken[self.taken >= first]
+
+    def take(self, indices: np.ndarray) -> None:
+        """Mark receiver tags, by stream index, as paired."""
+        self.taken = np.concatenate((self.taken, indices))
+
+    def span(self, lo: int, hi: int) -> tuple[int, int]:
+        """Buffer indices of the tags in [lo, hi). Tags arrive in time
         order, so while the stream is open, only a tag at or past hi
         proves the window complete; without one this raises _Pending."""
+        if lo < self.floor:
+            raise RuntimeError(f"receiver read from tick {lo} is below the floor {self.floor}")
         if not self.closed and (self._n == 0 or self._bufs[0][self._n - 1] < hi):
             raise _Pending
-        return _window(self, lo, hi)
+        i, j = np.searchsorted(self.ticks, (lo, hi))
+        return int(i), int(j)
+
+    def window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """_window over the tags recorded so far, checked as by span."""
+        i, j = self.span(lo, hi)
+        return self.ticks[i:j], self.channels[i:j] == _MARKER
 
     @property
     def ticks(self) -> np.ndarray:
@@ -401,21 +452,24 @@ class SyncPipeline:
     Feed receiver tags in time order as they arrive: each feed processes
     blocks in order and returns the new block statuses. A block completes
     once every receiver window it reads has arrived; until then its first
-    read past the data stops the feed, and the next feed retries it in
-    full. No attempt commits state that would change what its retry does,
-    so results depend only on the data, not on how it was chunked on
+    read past the data stops the feed, and the next feed retries it. No
+    attempt commits state that would change what its retry does, so
+    results depend only on the data, not on how it was chunked on
     arrival. finish() closes the receiver stream and processes the
-    remaining blocks; the coincidences of the whole run are extracted when
-    first read. run_offline is one feed of the whole receiver stream
-    followed by finish().
+    remaining blocks. A locked block's coincidences are extracted as it
+    closes, from inside the windows its fine stage has just read;
+    coincidences joins them once finish() has run. run_offline is one
+    feed of the whole receiver stream followed by finish().
 
-    Each station's tags are kept once, as recorded, markers included: the
-    local TagStream's arrays by reference, and the receiver's chunks in
-    one append-only store. Every read bisects for its window and drops
-    the markers inside that window only, so no feed touches data that
-    arrived before it. Each stage reads its receiver windows before its
-    local ones, so a stage waiting for data costs one comparison a feed;
-    only a pending one-second GPS retry redoes the trial before it.
+    The local TagStream's arrays are read by reference. The receiver's
+    chunks, markers included, go into one store; after each block the
+    engine raises the store's floor to the lowest tick the next block,
+    or any later one, can read, and the store drops what lies below it
+    when it next grows. Every read bisects for its window and drops the
+    markers inside that window only. Each stage reads its receiver
+    windows before its local ones, so a stage waiting for data costs one
+    comparison a feed; a pending acquisition resumes at the trial that
+    was waiting, since the outcome of those before it is final.
     """
 
     def __init__(self, alice: TagStream, cfg: CorrelatorConfig | None = None):
@@ -428,10 +482,12 @@ class SyncPipeline:
         self._origin = int(alice.ticks[0])
         self._end = int(alice.ticks[-1])
         self.state = LockState()
+        self._rows: list[Coincidences] = []
         self._events: Coincidences | None = None
         self._next_block = 0
         self._fails = 0
         self._last_attempt: int | None = None
+        self._failed_trials = 0
         n_full, trailing = divmod(self._end - self._origin, tk.block_span)
         if n_full == 0:
             self._n_blocks = 1
@@ -455,11 +511,12 @@ class SyncPipeline:
 
     @property
     def coincidences(self) -> Coincidences:
-        """The coincidences of the whole run, extracted on first read."""
+        """The coincidences of the whole run, in block order."""
         if not self._bob.closed:
             raise RuntimeError("pipeline not finished yet")
         if self._events is None:
-            self._events = extract_coincidences(self._alice, self._bob, self.state, self.cfg)
+            self._events = _joined(self._rows)
+            self._rows = []
         return self._events
 
     def _block_bounds(self, i: int) -> tuple[int, int]:
@@ -468,12 +525,16 @@ class SyncPipeline:
             return start, self._end + 1
         return start, start + self._tk.block_span
 
-    def _acquisition_due(self, i: int) -> bool:
-        """Whether block i opens with an acquisition attempt."""
+    def _next_acquisition(self, i: int) -> int:
+        """The first block from block i on that can open with an
+        acquisition attempt, as things stand before block i."""
+        cfg = self.cfg
         if self.state.current is not None and self.state.mode is LockMode.LOCKED:
-            return False
-        return self._last_attempt is None \
-            or i - self._last_attempt >= self.cfg.reacquire_interval
+            # Not before the lock drops, after its remaining allowed failures.
+            return i + cfg.drop_lock_after - self._fails - 1 + cfg.reacquire_interval
+        if self._last_attempt is None:
+            return i
+        return max(i, self._last_attempt + cfg.reacquire_interval)
 
     def _advance(self) -> list[BlockStatus]:
         """Process blocks in order up to the first whose reads are pending."""
@@ -485,6 +546,8 @@ class SyncPipeline:
             except _Pending:
                 break
             self._next_block += 1
+            if self._next_block < self._n_blocks:
+                self._bob.trim(self._floor(self._next_block))
         return done
 
     def _predict(self, tick: int) -> float:
@@ -495,12 +558,13 @@ class SyncPipeline:
     def _process_block(self, i: int, start: int, end: int) -> BlockStatus:
         cfg = self.cfg
         mid = (start + end) // 2
-        if self._acquisition_due(i):
+        if self._next_acquisition(i) == i:
             acquired = self._attempt_acquire(start)
             # Set only once the attempt returns, so a pending one is retried.
             # A lock it acquired stays when the fine stage below is pending:
             # the retry goes straight there.
             self._last_attempt = i
+            self._failed_trials = 0
             if acquired is not None:
                 self.state.current = acquired[1]
                 self.state.mode = LockMode.LOCKED
@@ -517,6 +581,10 @@ class SyncPipeline:
         measured, significance = self._fine_measure(start, end, predicted)
         locked = significance >= cfg.lock_threshold
         if locked:
+            # Its window lies inside the fine stage's receiver slice, which
+            # has arrived, so the extraction cannot be pending.
+            paired = _pair_block(self._alice, self._bob, start, end,
+                                 seconds_to_ticks(measured), self._tk.coincidence_window)
             updated = OffsetEstimate(measured, est.drift_rate, significance,
                                      ticks_to_seconds(mid))
             self.state.history.append((mid, updated))
@@ -528,6 +596,9 @@ class SyncPipeline:
             self._fails = 0
             status = BlockStatus(start, end, True, measured, drift,
                                  significance, predicted)
+            if paired is not None:
+                self._rows.append(paired[0])
+                self._bob.take(paired[1])
         else:
             self._fails += 1
             if self._fails >= cfg.drop_lock_after and self.state.mode is LockMode.LOCKED:
@@ -551,15 +622,70 @@ class SyncPipeline:
             return 0.0
         return float((t_c * offsets).sum() / denom)
 
+    # The receiver windows each stage reads. The stages and _floor both
+    # call these, so the floor follows any change to a read.
+
+    def _fine_windows(self, start: int, end: int, center: int) -> tuple[tuple[int, int], ...]:
+        """The fine stage of block [start, end) around a centre (ticks):
+        the rate window _RATE_PAD either side, then the correlation slice."""
+        reach = 3 * self._tk.coarse_bin + self._tk.coincidence_window
+        return ((start + center - _RATE_PAD, end + center + _RATE_PAD),
+                (start + center - reach, end + center + reach))
+
+    def _search_window(self, start: int, stop: int, center: int, span: int) -> tuple[int, int]:
+        """A search of +-span ticks around center over local [start, stop)."""
+        pad = 2 * self._tk.coarse_bin
+        return start + center - span - pad, stop + center + span + pad
+
+    @staticmethod
+    def _marker_window(start: int, stop: int) -> tuple[int, int]:
+        """Receiver markers more than a second outside an acquisition
+        window share no whole second with a local one (see _marker_offset)."""
+        return start - TICKS_PER_SECOND, stop + TICKS_PER_SECOND
+
+    def _search_floor(self, start: int, center: int, span: int) -> int:
+        """The lowest receiver tick a search from local tick start reads:
+        its coarse stage, the fine stage around the lowest coarse peak,
+        and the block's fine stage at the lowest offset that one finds."""
+        fine_span = 2 * self._tk.coarse_bin
+        peak = center - span
+        lows = (self._search_window(start, start, center, span)[0],
+                self._search_window(start, start, peak, fine_span)[0],
+                *(lo for lo, _ in self._fine_windows(start, start, peak - fine_span)))
+        return min(lows)
+
+    def _floor(self, i: int) -> int:
+        """The lowest receiver tick block i, or any later block, can read.
+
+        A tracked block reads around the offset predicted for it, which
+        moves far less than a block's span from one block to the next. An
+        acquisition reads least at the earliest block it can open; later
+        blocks tracked from it read above that too. Markers pair within
+        one whole second, so a GPS fold lies in (-1, 1) s and its trials
+        above -2 s; a blind search is centred on zero.
+        """
+        tk = self._tk
+        lows = []
+        if self.state.current is not None:
+            start, end = self._block_bounds(i)
+            center = seconds_to_ticks(self._predict((start + end) // 2))
+            lows += [lo for lo, _ in self._fine_windows(start, end, center)]
+        j = self._next_acquisition(i)
+        if j < self._n_blocks:
+            start = self._block_bounds(j)[0]
+            lows += [self._marker_window(start, start)[0],
+                     self._search_floor(start, -2 * TICKS_PER_SECOND, tk.gps_search_span),
+                     self._search_floor(start, 0, tk.blind_search_span)]
+        return min(lows, default=_NO_FLOOR)
+
     def _fine_measure(self, start: int, end: int, predicted: float) -> tuple[float, float]:
         """Fine correlation of one block around a predicted offset (s); the
         receiver's tag count _RATE_PAD either side prices the accidentals."""
         tk = self._tk
         center = seconds_to_ticks(predicted)
-        r_lo, r_hi = start + center - _RATE_PAD, end + center + _RATE_PAD
+        (r_lo, r_hi), (s_lo, s_hi) = self._fine_windows(start, end, center)
         r_ticks, r_marker = self._bob.window(r_lo, r_hi)
-        reach = 3 * tk.coarse_bin + tk.coincidence_window
-        b_slice = _detections(*self._bob.window(start + center - reach, end + center + reach))
+        b_slice = _detections(*self._bob.window(s_lo, s_hi))
         a_slice = _detections(*_window(self._alice, start, end))
         if len(a_slice) == 0 or len(b_slice) == 0:
             return math.nan, 0.0
@@ -575,10 +701,7 @@ class SyncPipeline:
         stop = min(start + tk.acquisition_span, self._end)
         if stop - start < tk.block_span:
             return None
-        # Receiver markers more than a second outside the window share no
-        # whole second with a local one (see _marker_offset).
-        b_ticks, b_marker = self._bob.window(start - TICKS_PER_SECOND,
-                                             stop + TICKS_PER_SECOND)
+        b_ticks, b_marker = self._bob.window(*self._marker_window(start, stop))
         a_ticks, a_marker = _window(self._alice, start, stop)
         a_slice = a_ticks[~a_marker]
         if len(a_slice) == 0:
@@ -590,11 +713,15 @@ class SyncPipeline:
         else:
             # Markers fix the offset only modulo one second (see
             # _marker_offset), so the neighbouring seconds are tried next.
+            # A retry skips the trials that failed: their reads had all
+            # arrived, so their outcome is final.
             center = round(center)
-            for trial in (center, center + TICKS_PER_SECOND, center - TICKS_PER_SECOND):
+            trials = (center, center + TICKS_PER_SECOND, center - TICKS_PER_SECOND)
+            for trial in trials[self._failed_trials:]:
                 found = self._two_stage(a_slice, start, stop, trial, tk.gps_search_span)
                 if found is not None:
                     break
+                self._failed_trials += 1
         if found is None:
             return None
         anchor = (start + stop) // 2
@@ -607,9 +734,7 @@ class SyncPipeline:
         around the coarse peak; the offset (s) and its significance, or
         None unless both stages clear the threshold."""
         cfg, tk = self.cfg, self._tk
-        pad = 2 * tk.coarse_bin
-        b_slice = _detections(*self._bob.window(start + center - span - pad,
-                                                stop + center + span + pad))
+        b_slice = _detections(*self._bob.window(*self._search_window(start, stop, center, span)))
         if len(b_slice) == 0:
             return None
         rate_b = len(b_slice) / max(stop - start + 2 * span, tk.block_span)
@@ -620,8 +745,8 @@ class SyncPipeline:
 
         fine_center = round(coarse.peak_offset)
         fine_span = 2 * tk.coarse_bin
-        b_fine = _detections(*self._bob.window(start + fine_center - fine_span - pad,
-                                               stop + fine_center + fine_span + pad))
+        b_fine = _detections(*self._bob.window(
+            *self._search_window(start, stop, fine_center, fine_span)))
         if len(b_fine) == 0:
             return None
         fine = cross_correlate(a_slice, b_fine, fine_center, fine_span, tk.fine_bin,
@@ -639,8 +764,7 @@ def acquire_lock(alice: TagStream, bob: TagStream,
     threshold.
     """
     pipeline = SyncPipeline(alice, cfg)
-    pipeline._bob.append(bob.ticks, bob.channels)
-    pipeline._bob.closed = True
+    pipeline._bob = _Recorded.of(bob)
     acquired = pipeline._attempt_acquire(pipeline._origin)
     if acquired is None:
         raise NoLockError("no correlation peak above threshold")
@@ -667,97 +791,126 @@ class Coincidences:
         return len(self.alice_ticks)
 
 
-def extract_coincidences(alice: TagStream, bob: TagStream | _Recorded,
-                         state: LockState,
-                         cfg: CorrelatorConfig | None = None) -> Coincidences:
-    """Pair detector tags inside locked blocks.
+def _partners(keys: np.ndarray, inner: np.ndarray, lo_shift: int,
+              hi_shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The keys with at least one element of inner in [key + lo_shift,
+    key + hi_shift], both arrays sorted: their indices, the index of
+    their first such element and their count. Most keys have none, so
+    only those with one are searched for the end of their group."""
+    lo = np.searchsorted(inner, keys + lo_shift)
+    some = np.flatnonzero(lo < len(inner))
+    some = some[inner[lo[some]] <= keys[some] + hi_shift]
+    lo = lo[some]
+    return some, lo, np.searchsorted(inner, keys[some] + hi_shift, side="right") - lo
 
-    alice and bob are tag streams, or bob the engine's store of the
-    receiver's tags, GPS markers included; markers never pair.
-    Candidates within the window are accepted greedily in order of
-    residual (ties broken by earlier local, then receiver, tick), each tag
-    at most once. Working in integer ticks with the block offset rounded
-    to the nearest tick makes the window edge exact: a pair at exactly
-    tau is in, one tick beyond is out.
+
+def _pair_block(alice: TagStream, bob: _Recorded, start: int, end: int,
+                off_ticks: int, tau_ticks: int) -> tuple[Coincidences, np.ndarray] | None:
+    """The coincidences of one locked block over local ticks [start, end)
+    at a receiver offset of off_ticks, paired as extract_coincidences
+    describes, and the stream indices of the receiver tags they take;
+    None when the block has no candidate. A receiver tag the store holds
+    as taken is skipped.
 
     A candidate that shares neither tag with another candidate of its
-    block, and whose receiver tag no earlier block took, wins whatever
-    the order, so only the candidates in conflict go through the greedy
-    loop; the result is the same as running it over all of them.
+    block wins whatever the order, so only the candidates in conflict go
+    through the greedy loop; the result is the same as running it over
+    all of them.
     """
-    cfg = cfg or CorrelatorConfig()
     a_ticks, a_chans = alice.ticks, alice.channels
+    a0, a1 = (int(k) for k in np.searchsorted(a_ticks, (start, end)))
+    if a1 <= a0:
+        return None
+    a_blk = a_ticks[a0:a1]
+    b0, b1 = bob.span(int(a_blk[0]) + off_ticks - tau_ticks,
+                      int(a_blk[-1]) + off_ticks + tau_ticks + 1)
     b_ticks, b_chans = bob.ticks, bob.channels
-    tau_ticks = seconds_to_ticks(cfg.coincidence_window)
-    used_b = np.zeros(len(b_ticks), dtype=bool)
+    # Candidates are searched from the side with fewer tags in the window.
+    b_win = b_ticks[b0:b1]
+    b_side = len(b_win) < len(a_blk)
+    if b_side:
+        keys, lo, counts = _partners(b_win, a_blk, -(off_ticks + tau_ticks),
+                                     -(off_ticks - tau_ticks))
+        outer0, inner0 = b0, a0
+    else:
+        keys, lo, counts = _partners(a_blk, b_win, off_ticks - tau_ticks,
+                                     off_ticks + tau_ticks)
+        outer0, inner0 = a0, b0
+    outer = np.repeat(outer0 + keys, counts)
+    inner = inner0 + _expand_groups(lo, counts, np.arange(len(outer), dtype=np.int64))
+    cand_a, cand_b = (inner, outer) if b_side else (outer, inner)
+    # Marker candidates go; a receiver tag an earlier block took is
+    # skipped by the greedy pass without effect on any other candidate.
+    open_b = (a_chans[cand_a] != _MARKER) & (b_chans[cand_b] != _MARKER)
+    taken = bob.taken[(bob.taken >= bob.base + b0) & (bob.taken < bob.base + b1)]
+    if len(taken):
+        open_b &= ~np.isin(bob.base + cand_b, taken)
+    cand_a, cand_b = cand_a[open_b], cand_b[open_b]
+    if len(cand_a) == 0:
+        return None
+    dist = np.abs((b_ticks[cand_b] - off_ticks) - a_ticks[cand_a])
+    shared = (np.bincount(cand_a - a0)[cand_a - a0] > 1) \
+        | (np.bincount(cand_b - b0)[cand_b - b0] > 1)
+    conflict = np.flatnonzero(shared)
+    keep = np.flatnonzero(~shared)
+    order = conflict[np.lexsort((cand_b[conflict], cand_a[conflict], dist[conflict]))]
+    taken_a: set[int] = set()
+    taken_b: set[int] = set()
+    won = []
+    for idx, ia, ib in zip(order.tolist(), cand_a[order].tolist(),
+                           cand_b[order].tolist()):
+        if ia in taken_a or ib in taken_b:
+            continue
+        taken_a.add(ia)
+        taken_b.add(ib)
+        won.append(idx)
+    keep = np.concatenate((keep, np.array(won, dtype=np.int64)))
+    # Local index order is time order. Local tags with equal ticks share
+    # their candidates, so the greedy pass also took them in index order.
+    keep = keep[np.argsort(cand_a[keep])]
+    ia, ib = cand_a[keep], cand_b[keep]
+    res = dist[keep].astype(np.float64) * TICK_SECONDS
+    rows = Coincidences(a_ticks[ia], a_chans[ia], b_ticks[ib], b_chans[ib], res)
+    return rows, bob.base + ib
 
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for block in state.blocks:
-        if not block.locked:
-            continue
-        a0 = int(np.searchsorted(a_ticks, block.start_tick))
-        a1 = int(np.searchsorted(a_ticks, block.end_tick))
-        if a1 <= a0:
-            continue
-        off_ticks = seconds_to_ticks(block.offset)
-        # Candidate pairs: off - tau <= b - a <= off + tau, searched from
-        # the side with fewer tags in the block's window.
-        a_blk = a_ticks[a0:a1]
-        b0 = int(np.searchsorted(b_ticks, a_blk[0] + off_ticks - tau_ticks, side="left"))
-        b1 = int(np.searchsorted(b_ticks, a_blk[-1] + off_ticks + tau_ticks, side="right"))
-        b_win = b_ticks[b0:b1]
-        b_side = len(b_win) < len(a_blk)
-        if b_side:
-            lo = np.searchsorted(a_blk, b_win - (off_ticks + tau_ticks), side="left")
-            hi = np.searchsorted(a_blk, b_win - (off_ticks - tau_ticks), side="right")
-            outer0, outer1, inner0 = b0, b1, a0
-        else:
-            lo = np.searchsorted(b_win, a_blk + (off_ticks - tau_ticks), side="left")
-            hi = np.searchsorted(b_win, a_blk + (off_ticks + tau_ticks), side="right")
-            outer0, outer1, inner0 = a0, a1, b0
-        counts = hi - lo
-        outer = np.repeat(np.arange(outer0, outer1, dtype=np.int64), counts)
-        inner = inner0 + _expand_groups(lo, counts, np.arange(len(outer), dtype=np.int64))
-        cand_a, cand_b = (inner, outer) if b_side else (outer, inner)
-        # Marker candidates go; a receiver tag an earlier block took is
-        # skipped by the greedy pass without effect on any other candidate.
-        open_b = ~used_b[cand_b] & (a_chans[cand_a] != _MARKER) & (b_chans[cand_b] != _MARKER)
-        cand_a, cand_b = cand_a[open_b], cand_b[open_b]
-        if len(cand_a) == 0:
-            continue
-        dist = np.abs((b_ticks[cand_b] - off_ticks) - a_ticks[cand_a])
-        shared = (np.bincount(cand_a - a0)[cand_a - a0] > 1) \
-            | (np.bincount(cand_b - b0)[cand_b - b0] > 1)
-        conflict = np.flatnonzero(shared)
-        keep = np.flatnonzero(~shared)
-        order = conflict[np.lexsort((cand_b[conflict], cand_a[conflict], dist[conflict]))]
-        taken_a: set[int] = set()
-        taken_b: set[int] = set()
-        won = []
-        for idx, ia, ib in zip(order.tolist(), cand_a[order].tolist(),
-                               cand_b[order].tolist()):
-            if ia in taken_a or ib in taken_b:
-                continue
-            taken_a.add(ia)
-            taken_b.add(ib)
-            won.append(idx)
-        keep = np.concatenate((keep, np.array(won, dtype=np.int64)))
-        # Local index order is time order. Local tags with equal ticks
-        # share their candidates, so the greedy pass also took them in
-        # index order.
-        keep = keep[np.argsort(cand_a[keep])]
-        ib = cand_b[keep]
-        used_b[ib] = True
-        res = dist[keep].astype(np.float64) * TICK_SECONDS
-        parts.append((cand_a[keep], ib, res))
 
+def _joined(parts: list[Coincidences]) -> Coincidences:
     if not parts:
         return Coincidences.empty()
-    ia_all = np.concatenate([p[0] for p in parts])
-    ib_all = np.concatenate([p[1] for p in parts])
-    res_all = np.concatenate([p[2] for p in parts])
-    return Coincidences(a_ticks[ia_all], a_chans[ia_all],
-                        b_ticks[ib_all], b_chans[ib_all], res_all)
+    return Coincidences(*(np.concatenate([getattr(p, f.name) for p in parts])
+                          for f in fields(Coincidences)))
+
+
+def extract_coincidences(alice: TagStream, bob: TagStream, state: LockState,
+                         cfg: CorrelatorConfig | None = None) -> Coincidences:
+    """Pair detector tags inside the locked blocks of a state, block
+    after block, as the engine does when each block closes.
+
+    Candidates are pairs with offset - tau <= b - a <= offset + tau,
+    with the block's offset rounded to the nearest tick. They are
+    accepted greedily in order of residual (ties broken by earlier local,
+    then receiver, tick), each tag at most once and a receiver tag an
+    earlier block took not again; GPS markers never pair. Integer ticks
+    make the window edge exact: a pair at exactly tau is in, one tick
+    beyond is out.
+    """
+    cfg = cfg or CorrelatorConfig()
+    tau_ticks = seconds_to_ticks(cfg.coincidence_window)
+    store = _Recorded.of(bob)
+    locked = [b for b in state.blocks if b.locked]
+    # No block reads a receiver tick below its start plus its offset
+    # minus tau, so each block's floor is the least of these from it on.
+    lows = [b.start_tick + seconds_to_ticks(b.offset) - tau_ticks for b in locked]
+    floors = list(accumulate(reversed(lows), min))[::-1]
+    parts: list[Coincidences] = []
+    for block, floor in zip(locked, floors):
+        store.trim(floor)
+        paired = _pair_block(alice, store, block.start_tick, block.end_tick,
+                             seconds_to_ticks(block.offset), tau_ticks)
+        if paired is not None:
+            parts.append(paired[0])
+            store.take(paired[1])
+    return _joined(parts)
 
 
 def run_offline(alice: TagStream, bob: TagStream,
@@ -773,13 +926,21 @@ _COINC_HEADER = "alice_ticks,alice_channel,bob_ticks,bob_channel,residual_ns"
 _TIMELINE_HEADER = "t_start,t_end,offset_ns,drift,significance"
 
 
+# Rows formatted per write: the Python objects of a batch stay small
+# however long the log.
+_ROWS_PER_WRITE = 1 << 13
+
+
 def write_coincidence_log(path: str | Path, events: Coincidences) -> None:
-    columns = (events.alice_ticks.tolist(), events.alice_channels.tolist(),
-               events.bob_ticks.tolist(), events.bob_channels.tolist(),
-               (events.residuals * 1e9).tolist())
-    lines = [_COINC_HEADER]
-    lines += [f"{a},{a_ch},{b},{b_ch},{res:.3f}" for a, a_ch, b, b_ch, res in zip(*columns)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(_COINC_HEADER + "\n")
+        for i in range(0, len(events), _ROWS_PER_WRITE):
+            rows = slice(i, i + _ROWS_PER_WRITE)
+            columns = (events.alice_ticks[rows].tolist(), events.alice_channels[rows].tolist(),
+                       events.bob_ticks[rows].tolist(), events.bob_channels[rows].tolist(),
+                       (events.residuals[rows] * 1e9).tolist())
+            fh.write("".join(f"{a},{a_ch},{b},{b_ch},{res:.3f}\n"
+                             for a, a_ch, b, b_ch, res in zip(*columns)))
 
 
 # One named field per CSV column; tick columns are integers, since

@@ -20,7 +20,9 @@ Tag files (".ettag") are little-endian:
 
 from __future__ import annotations
 
+import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -34,6 +36,9 @@ MAX_TICKS = 1 << 60
 FILE_MAGIC = b"ETTG"
 FILE_VERSION = 1
 _HEADER = struct.Struct("<4sHBBQ")
+# Tags per checked or decoded chunk (2 MB of words): a chunk's
+# temporaries stay small however long the stream.
+_CHUNK_WORDS = 1 << 18
 
 
 class ChannelCode(IntEnum):
@@ -119,10 +124,13 @@ class TagStream:
             raise ValueError("ticks and channels must be matching 1-d arrays")
         if len(ticks) and (ticks[0] < 0 or ticks[-1] >= MAX_TICKS):
             raise ValueError("tick values outside the 60-bit range")
-        if np.any(ticks[1:] < ticks[:-1]):
-            raise ValueError("tags must be sorted by ticks")
-        if _unassigned(channels).any():
-            raise InvalidChannelError("stream contains unassigned channel codes")
+        for i in range(0, len(ticks), _CHUNK_WORDS):
+            # One tag of overlap checks the order across chunk edges.
+            seg = ticks[i:i + _CHUNK_WORDS + 1]
+            if np.any(seg[1:] < seg[:-1]):
+                raise ValueError("tags must be sorted by ticks")
+            if _unassigned(channels[i:i + _CHUNK_WORDS]).any():
+                raise InvalidChannelError("stream contains unassigned channel codes")
         object.__setattr__(self, "ticks", ticks)
         object.__setattr__(self, "channels", channels)
 
@@ -145,24 +153,52 @@ def write_tagfile(path: str | Path, stream: TagStream) -> None:
         fh.write(words.astype("<u8").tobytes())
 
 
-def read_tagfile(path: str | Path) -> TagStream:
+def iter_tagfile(path: str | Path) -> tuple[Station, int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Check a tag file's header and size; return its station, its tag
+    count and an iterator that decodes its words a chunk at a time into
+    (ticks int64, channels uint8), checking that the ticks never fall
+    within a chunk or from one chunk to the next."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        body_size = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if len(head) < _HEADER.size:
         raise TagFileError(f"{path}: truncated header")
-    magic, version, station, _reserved, count = _HEADER.unpack_from(raw)
+    magic, version, station, _reserved, count = _HEADER.unpack(head)
     if magic != FILE_MAGIC:
         raise TagFileError(f"{path}: bad magic {magic!r}")
     if version != FILE_VERSION:
         raise TagFileError(f"{path}: unsupported version {version}")
     if station not in (0, 1):
         raise TagFileError(f"{path}: unknown station id {station}")
-    body_size = len(raw) - _HEADER.size
     if body_size != 8 * count:
         raise TagFileError(f"{path}: expected {count} tags, found {body_size // 8}")
-    words = np.frombuffer(raw, dtype="<u8", count=count, offset=_HEADER.size)
-    ticks, channels = decode_words(words)
-    try:
-        return TagStream(Station(station), ticks, channels)
-    except ValueError as exc:
-        raise TagFileError(f"{path}: {exc}") from exc
+    return Station(station), count, _decode_chunks(path, count)
+
+
+def _decode_chunks(path: Path, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    with open(path, "rb") as fh:
+        fh.seek(_HEADER.size)
+        last = 0
+        for done in range(0, count, _CHUNK_WORDS):
+            n = min(_CHUNK_WORDS, count - done)
+            words = np.fromfile(fh, dtype="<u8", count=n)
+            if len(words) != n:
+                raise TagFileError(f"{path}: expected {count} tags, found {done + len(words)}")
+            ticks, channels = decode_words(words)
+            if ticks[0] < last or np.any(ticks[1:] < ticks[:-1]):
+                raise TagFileError(f"{path}: tags must be sorted by ticks")
+            last = ticks[-1]
+            yield ticks, channels
+
+
+def read_tagfile(path: str | Path) -> TagStream:
+    station, count, chunks = iter_tagfile(path)
+    ticks = np.empty(count, dtype=np.int64)
+    channels = np.empty(count, dtype=np.uint8)
+    done = 0
+    for chunk_ticks, chunk_channels in chunks:
+        ticks[done:done + len(chunk_ticks)] = chunk_ticks
+        channels[done:done + len(chunk_ticks)] = chunk_channels
+        done += len(chunk_ticks)
+    return TagStream(station, ticks, channels)

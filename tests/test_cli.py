@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from pairlock import timetags
 from pairlock.cli import main
 from pairlock.timetags import Station, encode_words, read_tagfile
 from pairlock.transport import TagBlock, encode_block
@@ -95,6 +96,23 @@ def test_lock_notices_swapped_stations(tmp_path, capsys):
                "--out", str(tmp_path / "c.csv")])
     assert rc == 1
     assert "station" in capsys.readouterr().err
+
+
+def test_lock_exits_1_on_a_bob_tag_out_of_order(tmp_path, capsys, monkeypatch):
+    # lock decodes Bob's file chunk by chunk while it runs the engine; a
+    # tag that falls back across a chunk boundary still fails the run
+    monkeypatch.setattr(timetags, "_CHUNK_WORDS", 4096)
+    a, b = _simulate(tmp_path)
+    raw = bytearray(b.read_bytes())
+    k = 16 + 8 * 5 * 4096  # the first word of the sixth chunk
+    raw[k - 8:k], raw[k:k + 8] = raw[k:k + 8], raw[k - 8:k]
+    b.write_bytes(bytes(raw))
+    out = tmp_path / "c.csv"
+    rc = main(["lock", "--alice", str(a), "--bob", str(b), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(b) in err and "sorted" in err
+    assert not out.exists()
 
 
 def test_lock_exit_code_when_no_lock(tmp_path, capsys):

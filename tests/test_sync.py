@@ -34,7 +34,7 @@ from pairlock.sync import (
     write_lock_timeline,
 )
 from pairlock.timetags import (TICK_SECONDS, TICKS_PER_SECOND, ChannelCode, Station, TagStream,
-                               seconds_to_ticks)
+                               seconds_to_ticks, ticks_to_seconds)
 
 
 def slow_histogram(a_ticks, b_ticks, center, span, bin_width):
@@ -271,6 +271,108 @@ def test_lock_drops_in_a_dead_span_and_reacquires():
         pipeline.feed_bob(bob.ticks[start:start + 1024], bob.channels[start:start + 1024])
     pipeline.finish()
     assert pipeline.state.blocks == state.blocks
+
+
+def _stream_in_chunks(alice, bob, chunk, cfg=None, after_feed=None):
+    """A pipeline fed bob in chunks of chunk tags, then finished."""
+    pipeline = SyncPipeline(alice, cfg)
+    for start in range(0, len(bob.ticks), chunk):
+        pipeline.feed_bob(bob.ticks[start:start + chunk], bob.channels[start:start + chunk])
+        if after_feed is not None:
+            after_feed(pipeline)
+    pipeline.finish()
+    return pipeline
+
+
+def _without(stream, lo_s, hi_s):
+    """The stream with its tags in [lo_s, hi_s) seconds removed."""
+    keep = (stream.ticks < int(lo_s * 8e9)) | (stream.ticks >= int(hi_s * 8e9))
+    return TagStream(stream.station, stream.ticks[keep], stream.channels[keep])
+
+
+_TRIMMED_RUNS = {
+    # GPS folds 1.45 s to 0.45 s and -1.45 s to -0.45 s: the one-second
+    # retries lock, and read furthest from their block.
+    "gps+1.45s": dict(duration=30.0, offset=1.45, seed=5),
+    "gps-1.45s": dict(duration=30.0, offset=-1.45, seed=5),
+    "blind-19ms": dict(duration=30.0, offset=-0.019, seed=5, gps=False),
+    # test_lock_drops_in_a_dead_span_and_reacquires' receiver outage
+    "lock-loss": dict(duration=25.0, offset=0.2, seed=36, outage=(8.2, 13.2)),
+    # the same outage, with acquisitions as soon as the config allows
+    "lock-loss-eager": dict(duration=25.0, offset=0.2, seed=36, outage=(8.2, 13.2),
+                            cfg=CorrelatorConfig(drop_lock_after=1, reacquire_interval=1)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1024, 8192])
+@pytest.mark.parametrize("run", list(_TRIMMED_RUNS))
+def test_streamed_equals_offline_with_the_receiver_store_trimmed(run, chunk):
+    params = dict(_TRIMMED_RUNS[run])
+    outage = params.pop("outage", None)
+    cfg = params.pop("cfg", None)
+    duration = params.pop("duration")
+    alice, bob, *_ = _reference_run(duration, **params)
+    if outage is not None:
+        bob = _without(bob, *outage)
+    state, events = run_offline(alice, bob, cfg)
+    assert sum(block.locked for block in state.blocks) >= 0.75 * len(state.blocks)
+    bob_ticks, bob_channels = bob.ticks.copy(), bob.channels.copy()
+
+    # Once the backlog of the first acquisitions is through, the store
+    # holds a few seconds of receiver tags, however long the run.
+    held = []
+    blocks_before = [0]
+
+    def measure(pipeline):
+        if blocks_before[0] >= 15:
+            ticks = pipeline._bob.ticks
+            held.append(ticks_to_seconds(int(ticks[-1] - ticks[0])))
+        blocks_before[0] = len(pipeline.state.blocks)
+
+    pipeline = _stream_in_chunks(alice, bob, chunk, cfg, measure)
+    assert pipeline.state.blocks == state.blocks
+    _assert_same_events(pipeline.coincidences, events, 0)
+    assert held and max(held) < 6.0
+    # the store never wrote into the arrays it was fed
+    assert np.array_equal(bob.ticks, bob_ticks)
+    assert np.array_equal(bob.channels, bob_channels)
+
+
+def test_a_read_below_the_receiver_floor_raises(monkeypatch):
+    alice, bob, *_ = _reference_run(15.0, 0.3, seed=39)
+    pipeline = SyncPipeline(alice)
+    assert len(pipeline.feed_bob(bob.ticks, bob.channels)) > 10
+    floor = pipeline._bob.floor
+    assert floor > bob.ticks[0]
+    with pytest.raises(RuntimeError, match="below the floor"):
+        pipeline._bob.window(floor - 1, floor + TICKS_PER_SECOND)
+    pipeline._bob.window(floor, floor + TICKS_PER_SECOND)
+
+    # A floor one tick too high fails the run instead of changing it.
+    floor_of = SyncPipeline._floor
+    monkeypatch.setattr(SyncPipeline, "_floor", lambda self, i: floor_of(self, i) + 1)
+    with pytest.raises(RuntimeError, match="below the floor"):
+        run_offline(alice, bob)
+
+
+@pytest.mark.parametrize("offset", [-0.55, -0.7])
+def test_a_pending_gps_retry_resumes_at_its_own_trial(offset, monkeypatch):
+    # The trial at the marker centre fails; the one-second retry's reads
+    # wait for data. Streamed, the retry must not redo the failed trial.
+    alice, bob, *_ = _reference_run(15.0, offset, seed=5)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return cross_correlate(*args, **kwargs)
+    monkeypatch.setattr(sync, "cross_correlate", counted)
+    state, events = run_offline(alice, bob)
+    offline_calls = len(calls)
+    calls.clear()
+    pipeline = _stream_in_chunks(alice, bob, 1024)
+    assert len(calls) == offline_calls
+    assert pipeline.state.blocks == state.blocks
+    _assert_same_events(pipeline.coincidences, events, 0)
 
 
 def _one_block_state(offset, start_tick=0, end_tick=8_000_000):

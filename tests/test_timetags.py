@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from pairlock import timetags
 from pairlock.timetags import (
     MAX_TICKS,
     TICK_SECONDS,
@@ -12,6 +15,7 @@ from pairlock.timetags import (
     TagStream,
     decode_words,
     encode_words,
+    iter_tagfile,
     read_tagfile,
     seconds_to_ticks,
     ticks_to_seconds,
@@ -151,4 +155,44 @@ def test_file_rejects_unsorted_payload(tmp_path):
     raw[16:24], raw[24:32] = raw[24:32], raw[16:24]
     path.write_bytes(bytes(raw))
     with pytest.raises(TagFileError):
+        read_tagfile(path)
+
+
+def _chunked_file(tmp_path, monkeypatch, n=1000, chunk=64):
+    """A Bob file of n sorted tags, decoded chunk tags at a time."""
+    monkeypatch.setattr(timetags, "_CHUNK_WORDS", chunk)
+    rng = np.random.default_rng(17)
+    ticks = np.sort(rng.integers(0, 2**59, size=n))
+    channels = rng.choice([0, 1, 2, 3, 15], size=n).astype(np.uint8)
+    path = tmp_path / "bob.ettag"
+    write_tagfile(path, TagStream(Station.BOB, ticks, channels))
+    return path, ticks, channels
+
+
+def test_chunked_decode_equals_a_one_shot_decode(tmp_path, monkeypatch):
+    path, ticks, channels = _chunked_file(tmp_path, monkeypatch)
+    station, count, chunks = iter_tagfile(path)
+    chunks = list(chunks)
+    assert (station, count, len(chunks)) == (Station.BOB, 1000, 16)
+    assert all(len(t) == 64 for t, _ in chunks[:-1])
+    words = np.frombuffer(path.read_bytes(), dtype="<u8", offset=16)
+    one_shot = decode_words(words)
+    for got, want in zip((np.concatenate(c) for c in zip(*chunks)), one_shot):
+        assert np.array_equal(got, want)
+    back = read_tagfile(path)
+    assert back.station is Station.BOB
+    assert np.array_equal(back.ticks, ticks)
+    assert np.array_equal(back.channels, channels)
+
+
+@pytest.mark.parametrize("first", [3 * 64 + 10, 3 * 64 - 1], ids=["inside", "across"])
+def test_chunked_decode_rejects_a_tag_out_of_order(first, tmp_path, monkeypatch):
+    # swapping words first and first + 1 puts a later tick before an
+    # earlier one inside a chunk, or across the edge of chunks 3 and 4
+    path, _, _ = _chunked_file(tmp_path, monkeypatch)
+    raw = bytearray(path.read_bytes())
+    lo = 16 + 8 * first
+    raw[lo:lo + 8], raw[lo + 8:lo + 16] = raw[lo + 8:lo + 16], raw[lo:lo + 8]
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TagFileError, match=re.escape(f"{path}: tags must be sorted")):
         read_tagfile(path)
