@@ -16,7 +16,9 @@ into three independent processes (both detected, Alice only, Bob only),
 so undetected emissions are never materialized.
 
 Everything is driven by one numpy Generator, so a (seed, config) pair
-reproduces streams bit-exactly.
+reproduces streams bit-exactly. Each station's tags are packed into tag
+words and sorted once; tags that share a tick keep the order in which
+they were drawn (_sort_words).
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .timetags import ChannelCode, Station, TagStream, seconds_to_ticks
+from .timetags import MAX_TICKS, TICKS_PER_SECOND, ChannelCode, Station, TagStream
 
 MAX_DRIFT_FRACTION = 1e-8
+# Tags per noise draw or tie scan: a chunk's temporaries stay small
+# however long the run.
+_CHUNK = 1 << 18
+_TICK_SHIFT = np.uint64(4)
 
 
 class InvalidConfigError(ValueError):
@@ -207,7 +213,8 @@ def _sample_marginal_channels(rng: np.random.Generator, n: int,
     each basis; the singlet marginal carries no polarization information)."""
     first = rng.random(n) < basis_split
     out = rng.integers(0, 2, n).astype(np.uint8)
-    return (np.where(first, 0, 2) + out).astype(np.uint8)
+    out += np.where(first, np.uint8(0), np.uint8(2))
+    return out
 
 
 def _poisson_times(rng: np.random.Generator, rates: np.ndarray,
@@ -215,20 +222,23 @@ def _poisson_times(rng: np.random.Generator, rates: np.ndarray,
     """Event times for a piecewise-constant-rate Poisson process.
 
     rates[i] applies over the i-th slice; times are uniform within each
-    slice. Unsorted output, ordering happens at stream assembly.
+    slice. Unsorted output: _station_stream sorts each station's tags once.
     """
     counts = rng.poisson(rates * slice_lengths)
     total = int(counts.sum())
     if total == 0:
         return np.empty(0)
-    starts = np.repeat(np.arange(len(counts), dtype=np.float64), counts)
-    widths = np.repeat(slice_lengths, counts)
-    return starts + rng.random(total) * widths
+    t = rng.random(total)
+    t *= np.repeat(slice_lengths, counts)
+    t += np.repeat(np.arange(len(counts), dtype=np.float64), counts)
+    return t
 
 
 def _constant_rate_times(rng: np.random.Generator, rate: float, duration: float) -> np.ndarray:
     n = rng.poisson(rate * duration)
-    return rng.random(n) * duration
+    t = rng.random(n)
+    t *= duration
+    return t
 
 
 def generate_streams(duration: float,
@@ -267,55 +277,134 @@ def generate_streams(duration: float,
     t_alice_only = _poisson_times(rng, link.pair_rate * eta_a * (1.0 - eta_b), slice_lengths)
     t_bob_only = _poisson_times(rng, link.pair_rate * (1.0 - eta_a) * eta_b, slice_lengths)
 
-    n_pairs = len(t_pairs)
-    ch_pair_a, ch_pair_b = _sample_pair_channels_array(rng, n_pairs, settings, pol)
-    ch_alice_only = _sample_marginal_channels(rng, len(t_alice_only), settings.basis_split)
-    ch_bob_only = _sample_marginal_channels(rng, len(t_bob_only), settings.basis_split)
-
+    ch_pair_a, ch_pair_b = _sample_pair_channels_array(rng, len(t_pairs), settings, pol)
+    # Only these lists hold the drawn arrays, so _station_stream can free
+    # each station's share before it sorts.
     alice_times = [t_pairs, t_alice_only]
-    alice_channels = [ch_pair_a, ch_alice_only]
+    alice_channels = [ch_pair_a, _sample_marginal_channels(rng, len(t_alice_only),
+                                                           settings.basis_split)]
     bob_times = [t_pairs, t_bob_only]
-    bob_channels = [ch_pair_b, ch_bob_only]
+    bob_channels = [ch_pair_b, _sample_marginal_channels(rng, len(t_bob_only),
+                                                         settings.basis_split)]
+    del t_pairs, t_alice_only, t_bob_only, ch_pair_a, ch_pair_b
 
     for ch, rate in enumerate(link.alice_dark_rates):
-        t = _constant_rate_times(rng, rate, duration)
-        alice_times.append(t)
-        alice_channels.append(np.full(len(t), ch, dtype=np.uint8))
+        alice_times.append(_constant_rate_times(rng, rate, duration))
+        alice_channels.append(np.full(len(alice_times[-1]), ch, dtype=np.uint8))
     for ch, rate in enumerate(link.bob_dark_rates):
-        t = _constant_rate_times(rng, rate, duration)
-        bob_times.append(t)
-        bob_channels.append(np.full(len(t), ch, dtype=np.uint8))
-    t_bg = _constant_rate_times(rng, link.background_rate_bob, duration)
-    bob_times.append(t_bg)
-    bob_channels.append(rng.integers(0, 4, len(t_bg)).astype(np.uint8))
+        bob_times.append(_constant_rate_times(rng, rate, duration))
+        bob_channels.append(np.full(len(bob_times[-1]), ch, dtype=np.uint8))
+    bob_times.append(_constant_rate_times(rng, link.background_rate_bob, duration))
+    bob_channels.append(rng.integers(0, 4, len(bob_times[-1])).astype(np.uint8))
 
-    streams = []
-    for station, clock, times, channels in (
-            (Station.ALICE, clock_alice, alice_times, alice_channels),
-            (Station.BOB, clock_bob, bob_times, bob_channels)):
-        t_true = np.concatenate(times) if times else np.empty(0)
-        ch = np.concatenate(channels) if channels else np.empty(0, dtype=np.uint8)
-        if link.jitter_sigma > 0 and len(t_true):
-            t_true = t_true + rng.normal(0.0, link.jitter_sigma, len(t_true))
-        local = clock.local_from_true(t_true)
-        if clock.phase_noise_sigma > 0 and len(local):
-            local = local + rng.normal(0.0, clock.phase_noise_sigma, len(local))
-        if clock.gps_enabled:
-            marker_true = np.arange(0.0, math.floor(duration) + 1.0)
-            marker_local = clock.local_from_true(marker_true)
-            if clock.gps_jitter_sigma > 0:
-                marker_local = marker_local + rng.normal(
-                    0.0, clock.gps_jitter_sigma, len(marker_local))
-            local = np.concatenate([local, marker_local])
-            ch = np.concatenate([ch, np.full(len(marker_local),
-                                             int(ChannelCode.GPS_MARKER), dtype=np.uint8)])
-        keep = local >= 0.0
-        local = local[keep]
-        ch = ch[keep]
-        ticks = seconds_to_ticks(local)
-        order = np.argsort(ticks, kind="stable")
-        streams.append(TagStream(station, ticks[order], ch[order]))
-    return streams[0], streams[1]
+    alice = _station_stream(rng, Station.ALICE, clock_alice, link.jitter_sigma,
+                            duration, alice_times, alice_channels)
+    bob = _station_stream(rng, Station.BOB, clock_bob, link.jitter_sigma,
+                          duration, bob_times, bob_channels)
+    return alice, bob
+
+
+def _add_normal(rng: np.random.Generator, values: np.ndarray, sigma: float) -> None:
+    """Add N(0, sigma) noise to values in place, a chunk of draws at a time.
+
+    The draws and sums are those of values + rng.normal(0.0, sigma,
+    len(values)), without a whole-run noise array.
+    """
+    buf = np.empty(min(len(values), _CHUNK))
+    for i in range(0, len(values), _CHUNK):
+        noise = buf[:len(values) - i]
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        values[i:i + len(noise)] += noise
+
+
+def _station_stream(rng: np.random.Generator, station: Station, clock: ClockModel,
+                    jitter_sigma: float, duration: float,
+                    times: list[np.ndarray], channels: list[np.ndarray]) -> TagStream:
+    """One station's tags in its local clock, sorted by tick.
+
+    Detection times get timing jitter, the clock map and phase noise; GPS
+    markers at true integer seconds get the clock map and their own
+    jitter. Tags before the counter start (negative local time) are
+    dropped; the rest are rounded to ticks, packed into tag words and
+    sorted once with _sort_words. times and channels are emptied once
+    copied.
+    """
+    n = sum(len(t) for t in times)
+    n_markers = math.floor(duration) + 1 if clock.gps_enabled else 0
+    local = np.empty(n + n_markers)
+    ch = np.empty(n + n_markers, dtype=np.uint8)
+    np.concatenate(times, out=local[:n])
+    np.concatenate(channels, out=ch[:n])
+    times.clear()
+    channels.clear()
+    local[n:] = np.arange(n_markers)
+    ch[n:] = int(ChannelCode.GPS_MARKER)
+    if jitter_sigma > 0:
+        _add_normal(rng, local[:n], jitter_sigma)
+    # clock.local_from_true, in place
+    local *= 1.0 + clock.drift_fraction
+    local += clock.start_offset
+    if clock.phase_noise_sigma > 0:
+        _add_normal(rng, local[:n], clock.phase_noise_sigma)
+    if clock.gps_jitter_sigma > 0:
+        _add_normal(rng, local[n:], clock.gps_jitter_sigma)
+    keep = local >= 0.0
+    if not keep.all():
+        local, ch = local[keep], ch[keep]
+    local *= TICKS_PER_SECOND
+    # Doubles from 2**52 up are whole, so this bounds the rounded ticks.
+    if len(local) and local.max() >= MAX_TICKS:
+        raise ValueError("tick values outside the 60-bit range")
+    # Round to ticks and pack the tag words in the same buffer.
+    words = local.view(np.uint64)
+    np.rint(local, out=words, casting="unsafe")
+    words <<= _TICK_SHIFT
+    words |= ch
+    words = _sort_words(words)
+    # Unpack: the low byte ends in the channel nibble.
+    ch = words.astype(np.uint8)
+    ch &= 0xF
+    words >>= _TICK_SHIFT
+    return TagStream(station, words.view(np.int64), ch)
+
+
+def _sort_words(words: np.ndarray) -> np.ndarray:
+    """Sort tag words by tick; tags that share a tick keep their input order.
+
+    Word order is tick order, but np.sort breaks a tie by channel code.
+    Ticks shared by differing words are rare (a few per million tags at
+    the reference rates), so only those groups are found in the input
+    and written back in input order.
+    """
+    out = np.sort(words)
+    ticks = _mixed_tie_ticks(out)
+    if len(ticks):
+        lo = np.searchsorted(out, ticks << _TICK_SHIFT)
+        hi = np.searchsorted(out, (ticks << _TICK_SHIFT) | np.uint64(0xF), side="right")
+        at = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        tied = out[at]
+        # A table over the low 16 bits of the tied words picks candidates
+        # in one pass; the exact test runs on those few.
+        table = np.zeros(1 << 16, dtype=bool)
+        table[tied.astype(np.uint16)] = True
+        drawn = words[table[words.astype(np.uint16)]]
+        drawn = drawn[np.isin(drawn, tied)]
+        # Stable by tick: each group in input order, groups in tick order.
+        out[at] = drawn[np.argsort(drawn >> _TICK_SHIFT, kind="stable")]
+    return out
+
+
+def _mixed_tie_ticks(words: np.ndarray) -> np.ndarray:
+    """The ticks that more than one distinct word holds, in sorted words."""
+    ties = [np.empty(0, dtype=words.dtype)]
+    for i in range(0, len(words) - 1, _CHUNK):
+        seg = words[i:i + _CHUNK + 1]
+        # Below 16 exactly where neighbours share a tick.
+        x = seg[1:] ^ seg[:-1]
+        near = np.flatnonzero(x < 16)
+        ties.append(seg[near[x[near] != 0]])
+    return np.unique(np.concatenate(ties) >> _TICK_SHIFT)
 
 
 # Reference operating point: a metropolitan free-space link budget with

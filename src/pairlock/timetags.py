@@ -88,7 +88,10 @@ def _unassigned(channels: np.ndarray) -> np.ndarray:
 
 def encode_words(ticks: np.ndarray, channels: np.ndarray) -> np.ndarray:
     """Pack ticks and channel codes into uint64 tag words."""
-    return (ticks.astype(np.uint64) << np.uint64(4)) | channels.astype(np.uint64)
+    words = ticks.astype(np.uint64)
+    words <<= np.uint64(4)
+    np.bitwise_or(words, channels, out=words, dtype=np.uint64, casting="unsafe")
+    return words
 
 
 def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +153,7 @@ def write_tagfile(path: str | Path, stream: TagStream) -> None:
     words = encode_words(stream.ticks, stream.channels)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(FILE_MAGIC, FILE_VERSION, int(stream.station), 0, len(words)))
-        fh.write(words.astype("<u8").tobytes())
+        fh.write(words.astype("<u8", copy=False).data)
 
 
 def iter_tagfile(path: str | Path) -> tuple[Station, int, Iterator[tuple[np.ndarray, np.ndarray]]]:

@@ -1,12 +1,17 @@
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairlock
 from pairlock import timetags
 from pairlock.cli import main
 from pairlock.timetags import Station, encode_words, read_tagfile
@@ -58,6 +63,23 @@ def test_simulate_rejects_bad_duration(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--duration", "-3", "--out-a", "x", "--out-b", "y"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("offset, code", [("1.4e8", 0), ("2e8", 1), ("1e10", 1)])
+def test_simulate_range_check_at_the_60_bit_edge(tmp_path, offset, code):
+    # 2**60 ticks is 1.44e8 s. Past it simulate exits 1 with the range
+    # message, and the check comes before any cast could warn.
+    src = str(Path(pairlock.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from pairlock.cli import main; sys.exit(main())",
+         "simulate", "--duration", "1", "--offset", offset,
+         "--out-a", str(tmp_path / "a.ettag"), "--out-b", str(tmp_path / "b.ettag")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert ("tick values outside the 60-bit range" in proc.stderr) == bool(code)
 
 
 def test_version_flag():

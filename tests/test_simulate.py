@@ -1,16 +1,21 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pairlock import simulate
 from pairlock.simulate import (
     ClockModel,
     InvalidConfigError,
     LinkDetectorConfig,
     MeasurementSettings,
     PolarizationModel,
+    _add_normal,
     _sample_marginal_channels,
     _sample_pair_channels_array,
+    _sort_words,
     generate_streams,
     joint_outcome_probabilities,
     reference_clocks,
@@ -18,7 +23,7 @@ from pairlock.simulate import (
     reference_polarization,
     relative_offset_at,
 )
-from pairlock.timetags import Station
+from pairlock.timetags import MAX_TICKS, Station, encode_words
 
 
 def test_joint_probabilities_anticorrelated_at_equal_angles():
@@ -216,3 +221,98 @@ def test_reference_profile_figures():
     assert sum(link.bob_dark_rates) + link.background_rate_bob == 5850.0
     # about 83 true pairs per second reach both detectors
     assert link.pair_rate * link.eta_alice * link.eta_bob == pytest.approx(83.0, abs=0.1)
+
+
+def _streams_digest(alice, bob):
+    h = hashlib.sha256()
+    for stream in (alice, bob):
+        h.update(stream.ticks.astype("<i8").tobytes())
+        h.update(stream.channels.tobytes())
+    return h.hexdigest()
+
+
+def _tie_heavy_streams():
+    # No jitter or phase noise and over 5e5 tags/s per station: 44 pairs of
+    # neighbours share a tick, 19 with the later-drawn tag on a lower channel.
+    link = replace(reference_link(), pair_rate=1e6, eta_alice=0.5, eta_bob=0.5,
+                   jitter_sigma=0.0)
+    ca = ClockModel(phase_noise_sigma=0.0)
+    cb = ClockModel(start_offset=0.25, phase_noise_sigma=0.0)
+    return generate_streams(1.0, link, ca, cb, None, reference_polarization(), seed=3)
+
+
+# sha256 over both stations' little-endian ticks and channels, recorded
+# when the simulator still argsorted ticks; the word sort must match them.
+@pytest.mark.parametrize("case, digest", [
+    ("reference", "c4bc107e54e3481bfd6a0bb5e73fa05d2380a559e256270aa92267e4b104697d"),
+    ("high_rate", "b5f7dde9e8f52543f1b92e72a2cdeb522d72a2eee577e895df2313fde208b23e"),
+    ("blind", "9600fff7d754eac6d67b052103e7c9b38edd83c7c0955fa5afb69f96af049e22"),
+    ("tie_heavy", "727646730cb0b6a8b7ab1c34ddb8582a007fbe9c8e809d1630f59367112da6d9"),
+])
+def test_generate_streams_pinned(case, digest):
+    pol = reference_polarization()
+    ca, cb = reference_clocks(relative_offset=0.3)
+    if case == "reference":
+        streams = generate_streams(20.0, reference_link(), ca, cb, None, pol, seed=5)
+    elif case == "high_rate":
+        link = replace(reference_link(), pair_rate=1e6)
+        streams = generate_streams(4.0, link, ca, cb, None, pol, seed=1)
+    elif case == "blind":
+        link = replace(reference_link(), eta_bob=0.010)
+        ca, cb = reference_clocks(relative_offset=0.012, gps_enabled=False)
+        streams = generate_streams(10.0, link, ca, cb, None, pol, seed=5)
+    else:
+        streams = _tie_heavy_streams()
+    assert _streams_digest(*streams) == digest
+
+
+def test_tie_heavy_streams_keep_draw_order_within_a_tick():
+    # The pinned tie-heavy case only guards the tie rule if some tick holds
+    # tags whose draw order is not channel order.
+    falling = 0
+    for stream in _tie_heavy_streams():
+        tied = np.flatnonzero(stream.ticks[1:] == stream.ticks[:-1])
+        falling += int(np.sum(stream.channels[tied + 1] < stream.channels[tied]))
+    assert falling > 0
+
+
+def _stable_words(ticks, channels):
+    order = np.argsort(ticks, kind="stable")
+    return encode_words(ticks[order], channels[order])
+
+
+@pytest.mark.parametrize("ticks, channels", [
+    ([], []),
+    ([7], [2]),
+    ([5] * 9, [3, 0, 15, 2, 1, 0, 3, 15, 1]),
+    ([4, 2, 4, 2, 0, 4], [15, 3, 0, 1, 2, 3]),
+    ([MAX_TICKS - 1, 9, MAX_TICKS - 1, 1 << 59, 1 << 59], [15, 0, 0, 3, 1]),
+])
+def test_sort_words_keeps_input_order_within_a_tick(ticks, channels):
+    ticks = np.array(ticks, dtype=np.int64)
+    channels = np.array(channels, dtype=np.uint8)
+    words = encode_words(ticks, channels)
+    before = words.copy()
+    assert np.array_equal(_sort_words(words), _stable_words(ticks, channels))
+    assert np.array_equal(words, before)
+
+
+def test_sort_words_matches_a_stable_argsort_on_tie_heavy_input(monkeypatch):
+    # A 7-tag scan chunk puts many ties across chunk edges.
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    rng = np.random.default_rng(11)
+    codes = np.array([0, 1, 2, 3, 15], dtype=np.uint8)
+    for _ in range(200):
+        n = int(rng.integers(0, 300))
+        ticks = rng.integers(0, int(rng.integers(1, 60)), n)
+        channels = codes[rng.integers(0, len(codes), n)]
+        words = encode_words(ticks, channels)
+        assert np.array_equal(_sort_words(words), _stable_words(ticks, channels))
+
+
+def test_add_normal_draws_what_rng_normal_draws(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    values = np.random.default_rng(2).random(100) * 50.0
+    expected = values + np.random.default_rng(3).normal(0.0, 1e-9, len(values))
+    _add_normal(np.random.default_rng(3), values, 1e-9)
+    assert np.array_equal(values, expected)
