@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import queue
 import sys
 from dataclasses import replace
@@ -28,6 +29,7 @@ from .bell import accumulate, bell_report
 from .config import ConfigError, RunConfig, load_run_config
 from .simulate import ClockModel, generate_streams, relative_offset_at
 from .sync import (
+    SyncError,
     SyncPipeline,
     locked_seconds_from_timeline,
     read_coincidence_log,
@@ -45,8 +47,15 @@ EXIT_USAGE = 2
 EXIT_NO_LOCK = 3
 
 
-def _positive_float(raw: str) -> float:
+def _finite_float(raw: str) -> float:
     value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw}")
+    return value
+
+
+def _positive_float(raw: str) -> float:
+    value = _finite_float(raw)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {raw}")
     return value
@@ -229,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-a", required=True, help="Alice .ettag output path")
     sim.add_argument("--out-b", required=True, help="Bob .ettag output path")
     sim.add_argument("--config", help="INI run configuration")
-    sim.add_argument("--offset", type=float, default=None,
+    sim.add_argument("--offset", type=_finite_float, default=None,
                      help="relative clock offset Bob-Alice in seconds")
-    sim.add_argument("--drift", type=float, default=None,
+    sim.add_argument("--drift", type=_finite_float, default=None,
                      help="relative clock drift as a fraction")
     sim.add_argument("--no-gps", action="store_true",
                      help="omit the once-per-second marker tags")
@@ -282,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, TransportError) as exc:
+    except (ValueError, OSError, TransportError, SyncError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -24,7 +24,7 @@ they were drawn (_sort_words).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +39,14 @@ _TICK_SHIFT = np.uint64(4)
 
 class InvalidConfigError(ValueError):
     """A simulation parameter is out of its physical range."""
+
+
+def _require_finite(config) -> None:
+    """Refuse a NaN or infinite number in any field of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise InvalidConfigError(f"{f.name} {value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,7 @@ class PolarizationModel:
     rotation_error: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for v in (self.visibility_hv, self.visibility_pm):
             if not 0.0 <= v <= 1.0:
                 raise InvalidConfigError(f"visibility {v} outside [0, 1]")
@@ -75,6 +84,7 @@ class MeasurementSettings:
     basis_split: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for angles in (self.alice_angles, self.bob_angles):
             if len(angles) != 4:
                 raise InvalidConfigError("four analyzer angles required per station")
@@ -106,6 +116,7 @@ class LinkDetectorConfig:
     jitter_sigma: float = 1e-9
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.pair_rate < 0:
             raise InvalidConfigError(f"pair_rate {self.pair_rate} is negative")
         for eta in (self.eta_alice, self.eta_bob):
@@ -145,6 +156,7 @@ class ClockModel:
     gps_enabled: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if abs(self.drift_fraction) > MAX_DRIFT_FRACTION:
             raise InvalidConfigError(
                 f"drift_fraction {self.drift_fraction} exceeds {MAX_DRIFT_FRACTION}")
@@ -255,8 +267,8 @@ def generate_streams(duration: float,
     that would land before a station's counter start (negative local time)
     are dropped.
     """
-    if duration <= 0:
-        raise InvalidConfigError(f"duration {duration} must be positive")
+    if not 0 < duration < math.inf:
+        raise InvalidConfigError(f"duration {duration} must be positive and finite")
     settings = settings or MeasurementSettings()
     pol = pol or PolarizationModel()
     rng = np.random.default_rng(seed)

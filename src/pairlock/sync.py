@@ -26,16 +26,16 @@ Significance is the peak bin count over the expected accidental count per
 bin, with the expectation floored at one count so the ratio stays
 meaningful for sparse histograms. Coincidences are extracted from locked
 blocks only, as each closes, by a one-to-one greedy pairing in order of
-residual.
+residual. The receiver store marks every tag a coincidence pairs, so no
+later block pairs it again.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum, auto
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -155,12 +155,13 @@ class BlockStatus:
 
 @dataclass
 class LockState:
-    """Lock progress; history pairs each estimate with the local tick it
-    refers to."""
+    """Lock progress. history holds (local tick, offset in s) of the recent
+    estimates, the last of them current's; the engine keeps the last
+    drift_window, which is all its drift fit reads."""
 
     mode: LockMode = LockMode.SEARCHING
     current: OffsetEstimate | None = None
-    history: list[tuple[int, OffsetEstimate]] = field(default_factory=list)
+    history: list[tuple[int, float]] = field(default_factory=list)
     blocks: list[BlockStatus] = field(default_factory=list)
 
     @property
@@ -211,6 +212,30 @@ def _expand_groups(lo: np.ndarray, counts: np.ndarray, ramp: np.ndarray) -> np.n
     return ramp[:n] + np.repeat(lo - (ends - counts), counts)
 
 
+def _partners(keys: np.ndarray, inner: np.ndarray, lo_shift: int,
+              hi_shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The keys with at least one element of inner in [key + lo_shift,
+    key + hi_shift], both arrays sorted: their indices, the index of
+    their first such element and their count. Only the keys with one are
+    searched for the end of their group: in a block's extraction, most
+    keys have none."""
+    lo = np.searchsorted(inner, keys + lo_shift)
+    some = np.flatnonzero(lo < len(inner))
+    some = some[inner[lo[some]] <= keys[some] + hi_shift]
+    lo = lo[some]
+    return some, lo, np.searchsorted(inner, keys[some] + hi_shift, side="right") - lo
+
+
+def _partner_groups(a: np.ndarray, b: np.ndarray, lo_shift: int,
+                    hi_shift: int) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of two sorted arrays with lo_shift <= b - a <= hi_shift,
+    found by _partners from the side with fewer elements: whether that
+    side is b, then _partners' groups with that side as the keys."""
+    if len(b) < len(a):
+        return (True, *_partners(b, a, -hi_shift, -lo_shift))
+    return (False, *_partners(a, b, lo_shift, hi_shift))
+
+
 def pair_difference_histogram(a_ticks: np.ndarray, b_ticks: np.ndarray,
                               center: int, span: int, bin_width: int) -> np.ndarray:
     """Histogram of all pairwise tick differences b - a - center over [-span, span).
@@ -219,30 +244,19 @@ def pair_difference_histogram(a_ticks: np.ndarray, b_ticks: np.ndarray,
     ticks. A pair falls in bin (b - a - center + span) // bin_width; the
     last bin is narrower when 2 * span is not a whole number of bins.
     Integer arithmetic puts every pair in the same bin as the direct
-    all-pairs histogram. The pairs are enumerated from the shorter array,
-    whose every element searches its partners in the longer one, in
-    chunks of a few ten thousand pairs.
+    all-pairs histogram. The pairs are found by _partner_groups and
+    enumerated in chunks of a few ten thousand pairs.
     """
     n_bins = (2 * span + bin_width - 1) // bin_width
     if n_bins < 1 or n_bins > _MAX_BINS:
         raise ValueError(f"requested {n_bins} bins, supported range is 1..{_MAX_BINS}")
     lo_shift = center - span
-    hi_shift = center + span
-    b_outer = len(b_ticks) < len(a_ticks)
-    if b_outer:
-        outer, inner = b_ticks, a_ticks
-        lo = np.searchsorted(a_ticks, b_ticks - hi_shift, side="right")
-        hi = np.searchsorted(a_ticks, b_ticks - lo_shift, side="right")
-    else:
-        outer, inner = a_ticks, b_ticks
-        lo = np.searchsorted(b_ticks, a_ticks + lo_shift)
-        hi = np.searchsorted(b_ticks, a_ticks + hi_shift)
-    counts = hi - lo
-    groups = np.flatnonzero(counts)
+    b_outer, keys, lo, counts = _partner_groups(a_ticks, b_ticks, lo_shift, center + span - 1)
     hist = np.zeros(n_bins, dtype=np.int64)
-    if len(groups) == 0:
+    if len(keys) == 0:
         return hist
-    outer, lo, counts = outer[groups], lo[groups], counts[groups]
+    outer, inner = (b_ticks, a_ticks) if b_outer else (a_ticks, b_ticks)
+    outer = outer[keys]
     ends = np.cumsum(counts)
     chunk = max(_CHUNK_PAIRS, 2 * n_bins)
     ramp = np.arange(max(chunk, int(counts.max())), dtype=np.intp)
@@ -350,25 +364,24 @@ _NO_FLOOR = -(1 << 63)
 
 class _Recorded:
     """The receiver's ticks and channels as they arrived, markers
-    included, until closed, plus the stream indices of the receiver tags
-    that coincidences took.
+    included, until closed, and a paired mark per tag: set once a
+    coincidence has taken the tag.
 
     The engine raises a floor as blocks complete: the lowest tick any
-    later read can reach. A read below it raises RuntimeError, and the
-    taken tags below it are forgotten. When the store next grows, it
-    copies only the tags at or above the floor into a fresh buffer, so a
-    live run keeps a few seconds of the stream however long it is. The
-    first append keeps a reference to the caller's arrays, so a whole
-    stream appended at once is not copied; no append writes into them.
+    later read can reach. A read below it raises RuntimeError. When the
+    store next grows, it copies only the tags at or above the floor, marks
+    included, into fresh buffers, so a live run keeps a few seconds of the
+    stream however long it is. The first append keeps a reference to the
+    caller's ticks and channels, so a whole stream appended at once is not
+    copied; no append or mark writes into them.
     """
 
     def __init__(self):
-        self._bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)]
+        self._bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
+                      np.empty(0, dtype=bool)]
         self._n = 0
         self._owned = False  # False while the buffers are the caller's arrays
-        self.base = 0  # stream index of the buffers' first tag
         self.floor = _NO_FLOOR
-        self.taken = np.empty(0, dtype=np.int64)  # stream indices
         self.closed = False
 
     @classmethod
@@ -389,7 +402,7 @@ class _Recorded:
         ticks = np.asarray(ticks, dtype=np.int64)
         channels = np.asarray(channels, dtype=np.uint8)
         if self._n == 0:
-            self._bufs = [ticks, channels]
+            self._bufs = [ticks, channels, np.zeros(len(ticks), dtype=bool)]
             self._n = len(ticks)
             return
         size = len(self._bufs[0])
@@ -404,22 +417,11 @@ class _Recorded:
                 fresh[:keep] = buf[drop:self._n]
                 self._bufs[k] = fresh
             self._owned = True
-            self.base += drop
             self._n = keep
         end = self._n + len(ticks)
-        for buf, values in zip(self._bufs, (ticks, channels)):
+        for buf, values in zip(self._bufs, (ticks, channels, False)):
             buf[self._n:end] = values
         self._n = end
-
-    def trim(self, floor: int) -> None:
-        """Raise the floor to a tick no later read reaches below."""
-        self.floor = max(self.floor, floor)
-        first = self.base + int(np.searchsorted(self.ticks, self.floor))
-        self.taken = self.taken[self.taken >= first]
-
-    def take(self, indices: np.ndarray) -> None:
-        """Mark receiver tags, by stream index, as paired."""
-        self.taken = np.concatenate((self.taken, indices))
 
     def span(self, lo: int, hi: int) -> tuple[int, int]:
         """Buffer indices of the tags in [lo, hi). Tags arrive in time
@@ -445,6 +447,10 @@ class _Recorded:
     def channels(self) -> np.ndarray:
         return self._bufs[1][:self._n]
 
+    @property
+    def paired(self) -> np.ndarray:
+        return self._bufs[2][:self._n]
+
 
 class SyncPipeline:
     """The block-serial lock engine.
@@ -462,11 +468,12 @@ class SyncPipeline:
     feed of the whole receiver stream followed by finish().
 
     The local TagStream's arrays are read by reference. The receiver's
-    chunks, markers included, go into one store; after each block the
-    engine raises the store's floor to the lowest tick the next block,
-    or any later one, can read, and the store drops what lies below it
-    when it next grows. Every read bisects for its window and drops the
-    markers inside that window only. Each stage reads its receiver
+    chunks, markers included, go into one store, which also marks the
+    tags coincidences have paired. After each block the engine raises
+    the store's floor to the lowest tick the next block, or any later
+    one, can read, and the store drops what lies below it, marks
+    included, when it next grows. Every read bisects for its window and
+    drops the markers inside that window only. Each stage reads its receiver
     windows before its local ones, so a stage waiting for data costs one
     comparison a feed; a pending acquisition resumes at the trial that
     was waiting, since the outcome of those before it is final.
@@ -482,7 +489,7 @@ class SyncPipeline:
         self._origin = int(alice.ticks[0])
         self._end = int(alice.ticks[-1])
         self.state = LockState()
-        self._rows: list[Coincidences] = []
+        self._rows: list[Coincidences | None] = []
         self._events: Coincidences | None = None
         self._next_block = 0
         self._fails = 0
@@ -547,13 +554,13 @@ class SyncPipeline:
                 break
             self._next_block += 1
             if self._next_block < self._n_blocks:
-                self._bob.trim(self._floor(self._next_block))
+                self._bob.floor = max(self._bob.floor, self._floor(self._next_block))
         return done
 
     def _predict(self, tick: int) -> float:
         """Offset (s) the current estimate predicts at a local tick."""
-        anchor, est = self.state.history[-1]
-        return est.offset + est.drift_rate * ticks_to_seconds(tick - anchor)
+        est = self.state.current
+        return est.offset + est.drift_rate * ticks_to_seconds(tick - self.state.history[-1][0])
 
     def _process_block(self, i: int, start: int, end: int) -> BlockStatus:
         cfg = self.cfg
@@ -566,9 +573,9 @@ class SyncPipeline:
             self._last_attempt = i
             self._failed_trials = 0
             if acquired is not None:
-                self.state.current = acquired[1]
+                anchor, self.state.current = acquired
                 self.state.mode = LockMode.LOCKED
-                self.state.history = [acquired]
+                self.state.history = [(anchor, self.state.current.offset)]
                 self._fails = 0
 
         if self.state.current is None:
@@ -583,22 +590,18 @@ class SyncPipeline:
         if locked:
             # Its window lies inside the fine stage's receiver slice, which
             # has arrived, so the extraction cannot be pending.
-            paired = _pair_block(self._alice, self._bob, start, end,
-                                 seconds_to_ticks(measured), self._tk.coincidence_window)
-            updated = OffsetEstimate(measured, est.drift_rate, significance,
-                                     ticks_to_seconds(mid))
-            self.state.history.append((mid, updated))
+            self._rows.append(_pair_block(self._alice, self._bob, start, end,
+                                          seconds_to_ticks(measured),
+                                          self._tk.coincidence_window))
+            self.state.history.append((mid, measured))
+            del self.state.history[:-cfg.drift_window]
             drift = self._refit_drift()
-            updated = replace(updated, drift_rate=drift)
-            self.state.history[-1] = (mid, updated)
-            self.state.current = updated
+            self.state.current = OffsetEstimate(measured, drift, significance,
+                                                ticks_to_seconds(mid))
             self.state.mode = LockMode.LOCKED
             self._fails = 0
             status = BlockStatus(start, end, True, measured, drift,
                                  significance, predicted)
-            if paired is not None:
-                self._rows.append(paired[0])
-                self._bob.take(paired[1])
         else:
             self._fails += 1
             if self._fails >= cfg.drop_lock_after and self.state.mode is LockMode.LOCKED:
@@ -610,12 +613,12 @@ class SyncPipeline:
         return status
 
     def _refit_drift(self) -> float:
-        pts = self.state.history[-self.cfg.drift_window:]
-        if len(pts) < 3:
+        if len(self.state.history) < 3:
             return 0.0
+        ticks, offsets = zip(*self.state.history)
         # Tick differences are exact, so the fit does not see the epoch.
-        t = ticks_to_seconds(np.array([p[0] for p in pts], dtype=np.int64) - pts[0][0])
-        offsets = np.array([p[1].offset for p in pts])
+        t = ticks_to_seconds(np.array(ticks, dtype=np.int64) - ticks[0])
+        offsets = np.array(offsets)
         t_c = t - t.mean()
         denom = float((t_c * t_c).sum())
         if denom <= 0.0:
@@ -768,7 +771,8 @@ def acquire_lock(alice: TagStream, bob: TagStream,
     acquired = pipeline._attempt_acquire(pipeline._origin)
     if acquired is None:
         raise NoLockError("no correlation peak above threshold")
-    return LockState(mode=LockMode.LOCKED, current=acquired[1], history=[acquired])
+    anchor, est = acquired
+    return LockState(mode=LockMode.LOCKED, current=est, history=[(anchor, est.offset)])
 
 
 @dataclass
@@ -791,26 +795,12 @@ class Coincidences:
         return len(self.alice_ticks)
 
 
-def _partners(keys: np.ndarray, inner: np.ndarray, lo_shift: int,
-              hi_shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The keys with at least one element of inner in [key + lo_shift,
-    key + hi_shift], both arrays sorted: their indices, the index of
-    their first such element and their count. Most keys have none, so
-    only those with one are searched for the end of their group."""
-    lo = np.searchsorted(inner, keys + lo_shift)
-    some = np.flatnonzero(lo < len(inner))
-    some = some[inner[lo[some]] <= keys[some] + hi_shift]
-    lo = lo[some]
-    return some, lo, np.searchsorted(inner, keys[some] + hi_shift, side="right") - lo
-
-
 def _pair_block(alice: TagStream, bob: _Recorded, start: int, end: int,
-                off_ticks: int, tau_ticks: int) -> tuple[Coincidences, np.ndarray] | None:
+                off_ticks: int, tau_ticks: int) -> Coincidences | None:
     """The coincidences of one locked block over local ticks [start, end)
     at a receiver offset of off_ticks, paired as extract_coincidences
-    describes, and the stream indices of the receiver tags they take;
-    None when the block has no candidate. A receiver tag the store holds
-    as taken is skipped.
+    describes; None when the block has no candidate. A receiver tag the
+    store marks as paired is skipped, and the ones paired here are marked.
 
     A candidate that shares neither tag with another candidate of its
     block wins whatever the order, so only the candidates in conflict go
@@ -825,26 +815,16 @@ def _pair_block(alice: TagStream, bob: _Recorded, start: int, end: int,
     b0, b1 = bob.span(int(a_blk[0]) + off_ticks - tau_ticks,
                       int(a_blk[-1]) + off_ticks + tau_ticks + 1)
     b_ticks, b_chans = bob.ticks, bob.channels
-    # Candidates are searched from the side with fewer tags in the window.
-    b_win = b_ticks[b0:b1]
-    b_side = len(b_win) < len(a_blk)
-    if b_side:
-        keys, lo, counts = _partners(b_win, a_blk, -(off_ticks + tau_ticks),
-                                     -(off_ticks - tau_ticks))
-        outer0, inner0 = b0, a0
-    else:
-        keys, lo, counts = _partners(a_blk, b_win, off_ticks - tau_ticks,
-                                     off_ticks + tau_ticks)
-        outer0, inner0 = a0, b0
-    outer = np.repeat(outer0 + keys, counts)
-    inner = inner0 + _expand_groups(lo, counts, np.arange(len(outer), dtype=np.int64))
+    b_side, keys, lo, counts = _partner_groups(a_blk, b_ticks[b0:b1], off_ticks - tau_ticks,
+                                               off_ticks + tau_ticks)
+    outer = np.repeat(keys, counts)
+    inner = _expand_groups(lo, counts, np.arange(len(outer), dtype=np.int64))
     cand_a, cand_b = (inner, outer) if b_side else (outer, inner)
-    # Marker candidates go; a receiver tag an earlier block took is
+    cand_a += a0
+    cand_b += b0
+    # Marker candidates go; a receiver tag an earlier block paired would be
     # skipped by the greedy pass without effect on any other candidate.
-    open_b = (a_chans[cand_a] != _MARKER) & (b_chans[cand_b] != _MARKER)
-    taken = bob.taken[(bob.taken >= bob.base + b0) & (bob.taken < bob.base + b1)]
-    if len(taken):
-        open_b &= ~np.isin(bob.base + cand_b, taken)
+    open_b = (a_chans[cand_a] != _MARKER) & (b_chans[cand_b] != _MARKER) & ~bob.paired[cand_b]
     cand_a, cand_b = cand_a[open_b], cand_b[open_b]
     if len(cand_a) == 0:
         return None
@@ -870,11 +850,13 @@ def _pair_block(alice: TagStream, bob: _Recorded, start: int, end: int,
     keep = keep[np.argsort(cand_a[keep])]
     ia, ib = cand_a[keep], cand_b[keep]
     res = dist[keep].astype(np.float64) * TICK_SECONDS
-    rows = Coincidences(a_ticks[ia], a_chans[ia], b_ticks[ib], b_chans[ib], res)
-    return rows, bob.base + ib
+    bob.paired[ib] = True
+    return Coincidences(a_ticks[ia], a_chans[ia], b_ticks[ib], b_chans[ib], res)
 
 
-def _joined(parts: list[Coincidences]) -> Coincidences:
+def _joined(parts: list[Coincidences | None]) -> Coincidences:
+    """The rows of the parts that are not None, in order."""
+    parts = [p for p in parts if p is not None]
     if not parts:
         return Coincidences.empty()
     return Coincidences(*(np.concatenate([getattr(p, f.name) for p in parts])
@@ -890,27 +872,16 @@ def extract_coincidences(alice: TagStream, bob: TagStream, state: LockState,
     with the block's offset rounded to the nearest tick. They are
     accepted greedily in order of residual (ties broken by earlier local,
     then receiver, tick), each tag at most once and a receiver tag an
-    earlier block took not again; GPS markers never pair. Integer ticks
+    earlier block paired not again; GPS markers never pair. Integer ticks
     make the window edge exact: a pair at exactly tau is in, one tick
     beyond is out.
     """
     cfg = cfg or CorrelatorConfig()
     tau_ticks = seconds_to_ticks(cfg.coincidence_window)
     store = _Recorded.of(bob)
-    locked = [b for b in state.blocks if b.locked]
-    # No block reads a receiver tick below its start plus its offset
-    # minus tau, so each block's floor is the least of these from it on.
-    lows = [b.start_tick + seconds_to_ticks(b.offset) - tau_ticks for b in locked]
-    floors = list(accumulate(reversed(lows), min))[::-1]
-    parts: list[Coincidences] = []
-    for block, floor in zip(locked, floors):
-        store.trim(floor)
-        paired = _pair_block(alice, store, block.start_tick, block.end_tick,
-                             seconds_to_ticks(block.offset), tau_ticks)
-        if paired is not None:
-            parts.append(paired[0])
-            store.take(paired[1])
-    return _joined(parts)
+    return _joined([_pair_block(alice, store, b.start_tick, b.end_tick,
+                                seconds_to_ticks(b.offset), tau_ticks)
+                    for b in state.blocks if b.locked])
 
 
 def run_offline(alice: TagStream, bob: TagStream,

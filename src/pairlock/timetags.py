@@ -74,10 +74,8 @@ def ticks_to_seconds(ticks):
     return ticks / TICKS_PER_SECOND
 
 
-def seconds_to_ticks(seconds):
-    """Nearest tick count for a time in seconds (scalar or array)."""
-    if isinstance(seconds, np.ndarray):
-        return np.rint(seconds * TICKS_PER_SECOND).astype(np.int64)
+def seconds_to_ticks(seconds: float) -> int:
+    """Nearest tick count for a time in seconds."""
     return int(round(seconds * TICKS_PER_SECOND))
 
 

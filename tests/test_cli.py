@@ -14,7 +14,7 @@ import pytest
 import pairlock
 from pairlock import timetags
 from pairlock.cli import main
-from pairlock.timetags import Station, encode_words, read_tagfile
+from pairlock.timetags import Station, TagStream, encode_words, read_tagfile, write_tagfile
 from pairlock.transport import TagBlock, encode_block
 
 
@@ -63,6 +63,41 @@ def test_simulate_rejects_bad_duration(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--duration", "-3", "--out-a", "x", "--out-b", "y"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("option, value", [("--drift", "nan"), ("--offset", "nan"),
+                                           ("--offset", "inf"), ("--duration", "inf")])
+def test_simulate_refuses_non_finite_options(tmp_path, capsys, option, value):
+    # unchecked, --drift nan writes an empty bob.ettag, --offset nan runs
+    # with no offset and --duration inf overflows
+    args = {"--duration": "2", "--offset": "0.2", "--drift": "5e-11", option: value}
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", *(x for kv in args.items() for x in kv),
+              "--out-a", str(tmp_path / "a.ettag"), "--out-b", str(tmp_path / "b.ettag")])
+    assert err.value.code == 2
+    assert f"expected a finite number, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "b.ettag").exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("clock.bob", "start_offset", "nan", "start_offset nan is not finite"),
+    ("link", "fluctuation_sigma", "nan", "fluctuation_sigma nan is not finite"),
+    ("link", "pair_rate", "inf", "pair_rate inf is not finite"),
+    ("polarization", "rotation_error_deg", "nan", "rotation_error nan is not finite"),
+    # an out-of-range value, refused the same way
+    ("clock.bob", "start_offset", "-1", "start_offset must be non-negative"),
+])
+def test_simulate_refuses_non_finite_config_values(tmp_path, capsys, section, key, value,
+                                                   message):
+    # unchecked, start_offset = nan writes an empty bob.ettag and
+    # fluctuation_sigma = nan silently turns fading off
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    rc = main(["simulate", "--duration", "2", "--config", str(cfg),
+               "--out-a", str(tmp_path / "a.ettag"), "--out-b", str(tmp_path / "b.ettag")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "b.ettag").exists()
 
 
 @pytest.mark.parametrize("offset, code", [("1.4e8", 0), ("2e8", 1), ("1e10", 1)])
@@ -145,6 +180,19 @@ def test_lock_exit_code_when_no_lock(tmp_path, capsys):
                "--out", str(tmp_path / "c.csv")])
     assert rc == 3
     assert "no lock" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lock", "serve"])
+def test_an_empty_local_stream_exits_1(tmp_path, capsys, command):
+    _, b = _simulate(tmp_path, duration="2")
+    empty = tmp_path / "empty.ettag"
+    write_tagfile(empty, TagStream(Station.ALICE, np.empty(0, dtype=np.int64),
+                                   np.empty(0, dtype=np.uint8)))
+    args = ["--bob", str(b)] if command == "lock" else ["--port", "0"]
+    rc = main([command, "--alice", str(empty), *args, "--out", str(tmp_path / "c.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: local stream is empty\n"
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_bell_missing_file(tmp_path, capsys):

@@ -81,6 +81,38 @@ def test_clock_model_validation():
         ClockModel(start_offset=-0.1)
 
 
+@pytest.mark.parametrize("field", ["start_offset", "drift_fraction", "phase_noise_sigma",
+                                   "gps_jitter_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_clock_model_refuses_non_finite_values(field, value):
+    with pytest.raises(InvalidConfigError, match=f"{field} .* is not finite"):
+        ClockModel(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["pair_rate", "eta_bob", "background_rate_bob",
+                                   "fluctuation_sigma", "jitter_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_link_config_refuses_non_finite_values(field, value):
+    with pytest.raises(InvalidConfigError, match=f"{field} .* is not finite"):
+        replace(reference_link(), **{field: value})
+    with pytest.raises(InvalidConfigError, match="dark_rates .* is not finite"):
+        replace(reference_link(), dark_rates=(0.0,) * 7 + (value,))
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_polarization_and_settings_refuse_non_finite_values(value):
+    with pytest.raises(InvalidConfigError, match="rotation_error .* is not finite"):
+        PolarizationModel(rotation_error=value)
+    with pytest.raises(InvalidConfigError, match="alice_angles .* is not finite"):
+        MeasurementSettings(alice_angles=(0.0, 90.0, 45.0, value))
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+def test_generate_streams_refuses_a_bad_duration(duration):
+    with pytest.raises(InvalidConfigError, match="duration"):
+        generate_streams(duration, reference_link(), *reference_clocks())
+
+
 def test_clock_mapping_is_affine():
     clock = ClockModel(start_offset=0.5, drift_fraction=1e-8)
     assert clock.local_from_true(0.0) == 0.5

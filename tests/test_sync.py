@@ -375,6 +375,45 @@ def test_a_pending_gps_retry_resumes_at_its_own_trial(offset, monkeypatch):
     _assert_same_events(pipeline.coincidences, events, 0)
 
 
+def _random_case(i):
+    """Case i of the randomized differential gate: streams, an engine
+    config and the receiver chunk boundaries, all from one seeded
+    generator."""
+    rng = np.random.default_rng([20261019, i])
+    gps = bool(rng.random() < 0.5)
+    offset = rng.uniform(-1.9, 1.9) if gps else rng.uniform(-0.019, 0.019)
+    duration = rng.uniform(3.0, 30.0)
+    link = replace(reference_link(fluctuation_sigma=rng.uniform(0.1, 0.8)),
+                   eta_bob=rng.uniform(0.004, 0.014))
+    ca, cb = reference_clocks(relative_offset=offset,
+                              relative_drift=rng.uniform(-5e-9, 5e-9), gps_enabled=gps)
+    block_span = rng.uniform(0.5, 2.0)
+    cfg = CorrelatorConfig(block_span=block_span,
+                           acquisition_span=rng.uniform(max(block_span, 3.0), 12.0),
+                           drop_lock_after=int(rng.integers(1, 5)),
+                           reacquire_interval=int(rng.integers(1, 8)))
+    n_cuts = int(rng.integers(1, 301))
+    alice, bob = generate_streams(duration, link, ca, cb, pol=reference_polarization(),
+                                  seed=int(rng.integers(1 << 31)))
+    cuts = np.sort(rng.integers(0, len(bob.ticks) + 1, size=n_cuts))
+    return alice, bob, cfg, cuts
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_streamed_equals_offline_on_random_cases(case):
+    # GPS offsets within +-1.9 s or blind ones within +-19 ms, 3-30 s runs,
+    # eta_bob 0.004-0.014, fading sigma 0.1-0.8, drift up to 5e-9, the
+    # four engine keys, and the receiver stream cut 1-300 times at random
+    alice, bob, cfg, cuts = _random_case(case)
+    state, events = run_offline(alice, bob, cfg)
+    pipeline = SyncPipeline(alice, cfg)
+    for ticks, channels in zip(np.split(bob.ticks, cuts), np.split(bob.channels, cuts)):
+        pipeline.feed_bob(ticks, channels)
+    pipeline.finish()
+    assert pipeline.state.blocks == state.blocks
+    _assert_same_events(pipeline.coincidences, events, 0)
+
+
 def _one_block_state(offset, start_tick=0, end_tick=8_000_000):
     block = BlockStatus(start_tick, end_tick, True, offset, 0.0, 99.0, offset)
     return LockState(mode=LockMode.LOCKED,
