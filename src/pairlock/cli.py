@@ -283,9 +283,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options that take a signed number. argparse reads a value after them
+# that starts with "-" and is not a plain decimal ("-5e-11") as a flag.
+_SIGNED_OPTIONS = ("--offset", "--drift", "--duration")
+
+
+def _is_signed_option(arg: str) -> bool:
+    """arg names a signed option in full or, as argparse allows, by a prefix."""
+    return len(arg) > 2 and any(option.startswith(arg) for option in _SIGNED_OPTIONS)
+
+
+def _is_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with each signed option and a negative number after it joined
+    by "=", which argparse parses as the option's value."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and _is_signed_option(joined[-1]) and arg.startswith("-") and _is_number(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -109,7 +109,10 @@ def _updated(parser: configparser.ConfigParser, name: str, base):
                 raise ConfigError("unknown key")
         except ValueError as exc:
             raise ConfigError(f"[{name}] {key}: {exc}") from exc
-    return replace(base, **changes)
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:  # a value the dataclass refuses
+        raise ConfigError(f"[{name}] {exc}") from exc
 
 
 def load_run_config(path: str | Path) -> RunConfig:

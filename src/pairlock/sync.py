@@ -23,11 +23,12 @@ The receiver's stream is aligned to the local one in three steps:
    periodically retries a full acquisition.
 
 Significance is the peak bin count over the expected accidental count per
-bin, with the expectation floored at one count so the ratio stays
-meaningful for sparse histograms. Coincidences are extracted from locked
-blocks only, as each closes, by a one-to-one greedy pairing in order of
-residual. The receiver store marks every tag a coincidence pairs, so no
-later block pairs it again.
+bin, priced by the receiver's detection rate in the slice each stage
+correlates, so no stage reads past its slice. The expectation is floored
+at one count so the ratio stays meaningful for sparse histograms.
+Coincidences are extracted from locked blocks only, as each closes, by a
+one-to-one greedy pairing in order of residual. The receiver store marks
+every tag a coincidence pairs, so no later block pairs it again.
 """
 
 from __future__ import annotations
@@ -195,9 +196,6 @@ class Correlogram:
 
 
 _MAX_BINS = 20_000_000
-# Receiver time either side of a block's predicted window whose tag count
-# sets the accidental rate the block's fine significance is judged by.
-_RATE_PAD = TICKS_PER_SECOND // 2
 # Pairs per histogram chunk: the chunk's 8-byte temporaries stay in cache.
 # A chunk spans at least two histograms' worth of pairs, so the per-chunk
 # bincount over all bins stays a minor cost for wide histograms.
@@ -628,12 +626,11 @@ class SyncPipeline:
     # The receiver windows each stage reads. The stages and _floor both
     # call these, so the floor follows any change to a read.
 
-    def _fine_windows(self, start: int, end: int, center: int) -> tuple[tuple[int, int], ...]:
-        """The fine stage of block [start, end) around a centre (ticks):
-        the rate window _RATE_PAD either side, then the correlation slice."""
+    def _fine_window(self, start: int, end: int, center: int) -> tuple[int, int]:
+        """The receiver slice block [start, end)'s fine stage correlates
+        around a centre (ticks); its tag count also prices the accidentals."""
         reach = 3 * self._tk.coarse_bin + self._tk.coincidence_window
-        return ((start + center - _RATE_PAD, end + center + _RATE_PAD),
-                (start + center - reach, end + center + reach))
+        return start + center - reach, end + center + reach
 
     def _search_window(self, start: int, stop: int, center: int, span: int) -> tuple[int, int]:
         """A search of +-span ticks around center over local [start, stop)."""
@@ -654,7 +651,7 @@ class SyncPipeline:
         peak = center - span
         lows = (self._search_window(start, start, center, span)[0],
                 self._search_window(start, start, peak, fine_span)[0],
-                *(lo for lo, _ in self._fine_windows(start, start, peak - fine_span)))
+                self._fine_window(start, start, peak - fine_span)[0])
         return min(lows)
 
     def _floor(self, i: int) -> int:
@@ -672,7 +669,7 @@ class SyncPipeline:
         if self.state.current is not None:
             start, end = self._block_bounds(i)
             center = seconds_to_ticks(self._predict((start + end) // 2))
-            lows += [lo for lo, _ in self._fine_windows(start, end, center)]
+            lows.append(self._fine_window(start, end, center)[0])
         j = self._next_acquisition(i)
         if j < self._n_blocks:
             start = self._block_bounds(j)[0]
@@ -682,17 +679,16 @@ class SyncPipeline:
         return min(lows, default=_NO_FLOOR)
 
     def _fine_measure(self, start: int, end: int, predicted: float) -> tuple[float, float]:
-        """Fine correlation of one block around a predicted offset (s); the
-        receiver's tag count _RATE_PAD either side prices the accidentals."""
+        """Fine correlation of one block around a predicted offset (s),
+        priced from its own slice's receiver detections, as _two_stage is."""
         tk = self._tk
         center = seconds_to_ticks(predicted)
-        (r_lo, r_hi), (s_lo, s_hi) = self._fine_windows(start, end, center)
-        r_ticks, r_marker = self._bob.window(r_lo, r_hi)
+        s_lo, s_hi = self._fine_window(start, end, center)
         b_slice = _detections(*self._bob.window(s_lo, s_hi))
         a_slice = _detections(*_window(self._alice, start, end))
         if len(a_slice) == 0 or len(b_slice) == 0:
             return math.nan, 0.0
-        rate_b = (len(r_ticks) - np.count_nonzero(r_marker)) / (r_hi - r_lo)
+        rate_b = len(b_slice) / (s_hi - s_lo)
         corr = cross_correlate(a_slice, b_slice, center, 2 * tk.coarse_bin, tk.fine_bin,
                                expected_per_bin=len(a_slice) * rate_b * tk.fine_bin)
         return ticks_to_seconds(_centroid(corr)), corr.significance

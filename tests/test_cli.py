@@ -79,6 +79,19 @@ def test_simulate_refuses_non_finite_options(tmp_path, capsys, option, value):
     assert not (tmp_path / "b.ettag").exists()
 
 
+@pytest.mark.parametrize("option, value, key", [("--drift", "-5e-11", "relative_drift"),
+                                                ("--offset", "-1e-3", "relative_offset_t0"),
+                                                ("--off", "-1e-3", "relative_offset_t0")])
+def test_simulate_takes_negative_exponent_values(tmp_path, option, value, key):
+    # argparse alone reads "-5e-11" after an option as a flag and exits 2
+    # with "expected one argument"
+    truth = tmp_path / "truth.json"
+    rc = main(["simulate", "--duration", "1", option, value, "--truth", str(truth),
+               "--out-a", str(tmp_path / "a.ettag"), "--out-b", str(tmp_path / "b.ettag")])
+    assert rc == 0
+    assert json.loads(truth.read_text())[key] == pytest.approx(float(value), rel=1e-9)
+
+
 @pytest.mark.parametrize("section, key, value, message", [
     ("clock.bob", "start_offset", "nan", "start_offset nan is not finite"),
     ("link", "fluctuation_sigma", "nan", "fluctuation_sigma nan is not finite"),
@@ -90,13 +103,14 @@ def test_simulate_refuses_non_finite_options(tmp_path, capsys, option, value):
 def test_simulate_refuses_non_finite_config_values(tmp_path, capsys, section, key, value,
                                                    message):
     # unchecked, start_offset = nan writes an empty bob.ettag and
-    # fluctuation_sigma = nan silently turns fading off
+    # fluctuation_sigma = nan silently turns fading off. A value the
+    # dataclass refuses is a config error naming its section.
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[{section}]\n{key} = {value}\n")
     rc = main(["simulate", "--duration", "2", "--config", str(cfg),
                "--out-a", str(tmp_path / "a.ettag"), "--out-b", str(tmp_path / "b.ettag")])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: [{section}] {message}\n"
     assert not (tmp_path / "b.ettag").exists()
 
 

@@ -344,9 +344,12 @@ def test_a_read_below_the_receiver_floor_raises(monkeypatch):
     assert len(pipeline.feed_bob(bob.ticks, bob.channels)) > 10
     floor = pipeline._bob.floor
     assert floor > bob.ticks[0]
+    # The floor is the low end of the trailing block's fine slice, which
+    # runs past the fed data, so a read a second long from it would wait
+    # for data; one tick does not.
     with pytest.raises(RuntimeError, match="below the floor"):
-        pipeline._bob.window(floor - 1, floor + TICKS_PER_SECOND)
-    pipeline._bob.window(floor, floor + TICKS_PER_SECOND)
+        pipeline._bob.window(floor - 1, floor + 1)
+    pipeline._bob.window(floor, floor + 1)
 
     # A floor one tick too high fails the run instead of changing it.
     floor_of = SyncPipeline._floor
@@ -615,9 +618,12 @@ def test_locked_block_completes_when_its_read_window_has_arrived():
     j = 12
     block = state.blocks[j]
     assert block.locked
-    # Block j reads receiver ticks up to the end of its rate window, half
-    # a second past its end shifted by the offset predicted for it.
-    need = block.end_tick + seconds_to_ticks(block.predicted) + TICKS_PER_SECOND // 2
+    # Block j reads receiver ticks up to the end of its correlation slice:
+    # its end shifted by the offset predicted for it, plus the fine search
+    # span, a coarse bin and the coincidence window.
+    tk = sync._Ticks.of(CorrelatorConfig())
+    need = (block.end_tick + seconds_to_ticks(block.predicted)
+            + 3 * tk.coarse_bin + tk.coincidence_window)
     k = int(np.searchsorted(bob.ticks, need - 1))
     detector = np.uint8(ChannelCode.CH1)
 
@@ -680,9 +686,9 @@ def test_streamed_chunks_equal_offline_results_at_a_negative_offset(chunk):
 
 
 def test_streamed_equals_offline_when_the_last_block_acquires():
-    # One 1.04 s block opens with an acquisition at a 1.3 s offset; its
-    # fine stage then reads receiver data up to end + 1.3 s + 0.5 s, past
-    # the acquisition's own reach, so a split at 1.6 s must not complete it.
+    # One 1.04 s block opens with an acquisition at a 1.3 s offset. Its
+    # furthest read is the coarse GPS search around the 1.3 s trial, 1 ms
+    # past end + 1.3 s, so a split at end + 1.3 s must not complete it.
     link = replace(reference_link(), pair_rate=1e6)
     ca, cb = reference_clocks(relative_offset=1.3)
     alice, bob = generate_streams(6.0, link, ca, cb, pol=reference_polarization(), seed=3)
@@ -691,13 +697,30 @@ def test_streamed_equals_offline_when_the_last_block_acquires():
     offline_state, offline_events = run_offline(alice, bob)
     assert [block.locked for block in offline_state.blocks] == [True]
 
-    split = int(np.searchsorted(bob.ticks, alice.ticks[-1] + seconds_to_ticks(1.6)))
+    split = int(np.searchsorted(bob.ticks, alice.ticks[-1] + seconds_to_ticks(1.3)))
     pipeline = SyncPipeline(alice)
     assert pipeline.feed_bob(bob.ticks[:split], bob.channels[:split]) == []
     pipeline.feed_bob(bob.ticks[split:], bob.channels[split:])
     pipeline.finish()
     assert pipeline.state.blocks == offline_state.blocks
     _assert_same_events(pipeline.coincidences, offline_events, 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_blocks_price_accidentals_like_interior_ones(seed):
+    # At 1e6 pairs/s the expected accidentals per fine bin exceed the
+    # floor of one, so the receiver rate sets the significance. Counted
+    # from the block's own slice, it reads the same at the stream's ends
+    # as inside, where a window reaching past either end would read low.
+    link = replace(reference_link(), pair_rate=1e6)
+    ca, cb = reference_clocks(relative_offset=0.3)
+    alice, bob = generate_streams(12.0, link, ca, cb, pol=reference_polarization(), seed=seed)
+    state, _ = run_offline(alice, bob)
+    assert all(block.locked for block in state.blocks)
+    significance = [block.significance for block in state.blocks]
+    interior = float(np.median(significance[1:-1]))
+    for edge in (significance[0], significance[-1]):
+        assert 0.8 * interior <= edge <= 1.2 * interior
 
 
 @pytest.mark.parametrize("offset", [0.55, -0.7])
