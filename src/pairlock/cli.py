@@ -17,12 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import queue
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .bell import accumulate, bell_report
@@ -197,13 +194,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_FAILURE
     pipeline = SyncPipeline(alice, cfg.correlator)
-    # Frames, then None once the receiver stops.
-    incoming: "queue.Queue[np.ndarray | None]" = queue.Queue()
-    server = ReceiverServer(host=args.host, port=args.port,
-                            on_block=lambda _seq, words: incoming.put(words),
-                            on_end=lambda: incoming.put(None))
-    server.start()
-    print(f"listening on {server.host}:{server.port}")
 
     def report(done: list) -> None:
         first = len(pipeline.state.blocks) - len(done)
@@ -214,12 +204,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"{flag} offset {offset_ns:10.3f} ns "
                   f"significance {block.significance:6.1f}")
 
-    try:
-        while (words := incoming.get()) is not None:
-            report(pipeline.feed_bob(*decode_words(words)))
-        server.wait(timeout=0.0)  # raises the receiver's fatal error
-    finally:
-        server.stop()
+    # The engine runs on the receiving thread, and a frame is acked once
+    # it is fed, so the engine paces the sender.
+    server = ReceiverServer(
+        host=args.host, port=args.port,
+        on_block=lambda _seq, words: report(pipeline.feed_bob(*decode_words(words))))
+    print(f"listening on {server.host}:{server.port}")
+    server.start()
+    server.wait()  # raises the receiver's fatal error
+    server.stop()
     report(pipeline.finish())
     return _finish_lock(args, pipeline)
 

@@ -24,7 +24,12 @@ end record naming the total block count.
 
 Stop-and-wait acking is deliberate: at the nominal 8500 tags/s a block
 spans nearly a second, so one round trip per block costs nothing, and it
-keeps the resume logic trivial.
+keeps the resume logic trivial. A frame is acked only once the
+receiver's consumer has taken it, so a consumer slower than the sender
+paces the sender, and the receiver holds no backlog. A consumer that
+holds one frame past the sender's reply deadline costs a reconnect, not
+the run: the sender's reconnect budget counts failures since the last
+acknowledged progress.
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ NAK = b"N"
 # the next record.
 _RECORD_DEADLINE = 2.0
 _RECORD_TIMEOUT = 30.0
-# Connect and per-reply timeout on the sending side.
+# Connect and per-reply timeout on the sending side. A frame's reply
+# waits for the receiver's consumer to take the frame.
 _SEND_TIMEOUT = 10.0
 
 
@@ -173,6 +179,15 @@ def _read_exact(conn: socket.socket, n: int, deadline: float | None = None) -> b
     return bytes(buf)
 
 
+def _reply(conn: socket.socket, record: bytes) -> None:
+    """Send a reply record; a peer that went away meanwhile is lost,
+    not fatal."""
+    try:
+        conn.sendall(record)
+    except OSError as exc:
+        raise ConnectionLostError(str(exc)) from exc
+
+
 class _SessionState:
     """Receive-side reassembly for one session id.
 
@@ -217,22 +232,21 @@ class ReceiverServer:
     takes over two seconds for its hello or for the rest of a record once
     its magic is in, is dropped and the server keeps listening; a
     sequence gap is fatal.
+    on_block, when given, runs on the receiving thread, and a frame is
+    acked only after it returns, so a slow consumer paces the sender. An
+    exception from on_block is fatal.
     wait() returns once the sender's end record arrives, and raises the
-    fatal error if there was one. on_end, when given, is called once from
-    the receiving thread when it stops (end record, fatal error or
-    stop()), after the last on_block call.
+    fatal error if there was one.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 on_block: Callable[[int, np.ndarray], None] | None = None,
-                 on_end: Callable[[], None] | None = None):
+                 on_block: Callable[[int, np.ndarray], None] | None = None):
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.2)
         self.host, self.port = self._listener.getsockname()[:2]
         self._sessions: dict[int, _SessionState] = {}
         self._active: _SessionState | None = None
         self._on_block = on_block
-        self._on_end = on_end
         self._complete = threading.Event()
         self._stop = threading.Event()
         self._error: Exception | None = None
@@ -261,8 +275,6 @@ class ReceiverServer:
             self._complete.set()
         finally:
             self._listener.close()
-            if self._on_end is not None:
-                self._on_end()
 
     def _handle_connection(self, conn: socket.socket) -> None:
         raw = _read_exact(conn, _HELLO.size, time.monotonic() + _RECORD_DEADLINE)
@@ -271,7 +283,7 @@ class ReceiverServer:
             raise FrameError("bad hello record")
         session = self._sessions.setdefault(session_id, _SessionState(self._on_block))
         self._active = session
-        conn.sendall(_HELLO_REPLY.pack(HELLO_REPLY_MAGIC, session.next_sequence))
+        _reply(conn, _HELLO_REPLY.pack(HELLO_REPLY_MAGIC, session.next_sequence))
         while True:
             conn.settimeout(_RECORD_TIMEOUT)
             magic = _read_exact(conn, 4)
@@ -281,7 +293,7 @@ class ReceiverServer:
                 if total != session.next_sequence:
                     raise SequenceGapError(
                         f"end record names {total} blocks, received {session.next_sequence}")
-                conn.sendall(_REPLY.pack(ACK, session.next_sequence))
+                _reply(conn, _REPLY.pack(ACK, session.next_sequence))
                 self._complete.set()
                 return
             if magic != FRAME_MAGIC:
@@ -297,10 +309,10 @@ class ReceiverServer:
             try:
                 block = decode_block(header + body)
             except ChecksumMismatchError:
-                conn.sendall(_REPLY.pack(NAK, sequence))
+                _reply(conn, _REPLY.pack(NAK, sequence))
                 continue
             next_seq = session.handle_block(block)
-            conn.sendall(_REPLY.pack(ACK, next_seq))
+            _reply(conn, _REPLY.pack(ACK, next_seq))
 
     def wait(self, timeout: float | None = None) -> bool:
         done = self._complete.wait(timeout)
@@ -340,8 +352,10 @@ def send_words(host: str, port: int, words: np.ndarray, station: Station, *,
                connect_factory: Callable[[], socket.socket] | None = None) -> SendStats:
     """Send an encoded word array, resuming across dropped connections.
 
-    connect_factory exists for tests that need to inject failing sockets;
-    the default opens a plain TCP connection to (host, port).
+    It gives up after max_reconnects reconnects without an ack that
+    advances the stream. connect_factory exists for tests that need to
+    inject failing sockets; the default opens a plain TCP connection to
+    (host, port).
     """
     blocks = list(iter_blocks(words, station, block_tags)) if len(words) else []
     t0 = time.perf_counter()
@@ -373,12 +387,11 @@ def send_words(host: str, port: int, words: np.ndarray, station: Station, *,
                 conn.sendall(encode_block(blocks[i]))
                 frames_sent += 1
                 kind, value = _REPLY.unpack(_read_exact(conn, _REPLY.size))
-                if kind == ACK:
-                    i = int(value)
-                elif kind == NAK:
-                    i = int(value)
-                else:
+                if kind not in (ACK, NAK):
                     raise FrameError(f"unknown reply {kind!r}")
+                if value > i:  # progress renews the reconnect budget
+                    attempts = 1
+                i = int(value)
             conn.sendall(_END.pack(END_MAGIC, len(blocks)))
             kind, _value = _REPLY.unpack(_read_exact(conn, _REPLY.size))
             if kind != ACK:

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import pairlock
-from pairlock import timetags
+from pairlock import cli, timetags
 from pairlock.cli import main
 from pairlock.timetags import Station, TagStream, encode_words, read_tagfile, write_tagfile
-from pairlock.transport import TagBlock, encode_block
+from pairlock.transport import TagBlock, encode_block, send_stream
 
 
 def _simulate(tmp_path, duration="8", seed="5", extra=()):
@@ -241,19 +241,15 @@ def _free_port():
         return s.getsockname()[1]
 
 
-def test_serve_and_send_match_offline(tmp_path, capsys):
-    a, b = _simulate(tmp_path)
-    offline = tmp_path / "offline.csv"
-    rc = main(["lock", "--alice", str(a), "--bob", str(b), "--out", str(offline)])
-    assert rc == 0
-
+def _start_serve(alice, out):
+    """`serve` on a thread, once it accepts connections: the thread, a
+    dict that receives its exit code, and the port."""
     port = _free_port()
-    live = tmp_path / "live.csv"
     result: dict = {}
 
     def run_server():
-        result["rc"] = main(["serve", "--alice", str(a), "--port", str(port),
-                             "--out", str(live)])
+        result["rc"] = main(["serve", "--alice", str(alice), "--port", str(port),
+                             "--out", str(out)])
 
     server = threading.Thread(target=run_server, daemon=True)
     server.start()
@@ -264,6 +260,17 @@ def test_serve_and_send_match_offline(tmp_path, capsys):
             break
         except OSError:
             time.sleep(0.05)
+    return server, result, port
+
+
+def test_serve_and_send_match_offline(tmp_path, capsys):
+    a, b = _simulate(tmp_path)
+    offline = tmp_path / "offline.csv"
+    rc = main(["lock", "--alice", str(a), "--bob", str(b), "--out", str(offline)])
+    assert rc == 0
+
+    live = tmp_path / "live.csv"
+    server, result, port = _start_serve(a, live)
     rc = main(["send", "--bob", str(b), "--host", "127.0.0.1",
                "--port", str(port), "--block-tags", "4096"])
     assert rc == 0
@@ -306,3 +313,43 @@ def test_serve_exits_on_a_sequence_gap(tmp_path, capsys):
     assert not server.is_alive()
     assert result.get("rc") == 1
     assert "expected block 0, got 1" in capsys.readouterr().err
+
+
+def test_serve_acks_a_frame_only_after_the_engine_has_fed_it(tmp_path, monkeypatch, capsys):
+    a, b = _simulate(tmp_path)
+    feeds = []
+
+    class SlowPipeline(cli.SyncPipeline):
+        def feed_bob(self, ticks, channels):
+            time.sleep(0.02)
+            done = super().feed_bob(ticks, channels)
+            feeds.append(len(ticks))
+            return done
+
+    monkeypatch.setattr(cli, "SyncPipeline", SlowPipeline)
+    server, result, port = _start_serve(a, tmp_path / "live.csv")
+    feeds_at_ack = []
+
+    class AckWatch:
+        """The sender's socket; notes the feed count as each 9-byte reply arrives."""
+
+        def __init__(self, sock):
+            self._sock = sock
+
+        def recv(self, n):
+            data = self._sock.recv(n)
+            if len(data) == 9 and data[:1] == b"A":
+                feeds_at_ack.append(len(feeds))
+            return data
+
+        def __getattr__(self, name):
+            return getattr(self._sock, name)
+
+    stats = send_stream("127.0.0.1", port, read_tagfile(b), block_tags=4096,
+                        connect_factory=lambda: AckWatch(
+                            socket.create_connection(("127.0.0.1", port), timeout=10.0)))
+    server.join(timeout=30.0)
+    assert result.get("rc") == 0
+    # frame k's ack follows its feed; the end record's ack follows them all
+    assert feeds_at_ack == [*range(1, stats.blocks + 1), stats.blocks]
+    assert sum(feeds) == stats.tags

@@ -1,7 +1,9 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pairlock
+from pairlock.sync import CorrelatorConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +27,11 @@ def test_every_exported_name_resolves():
     assert len(set(pairlock.__all__)) == len(pairlock.__all__)
     for name in pairlock.__all__:
         assert hasattr(pairlock, name), name
+
+
+def test_readme_correlator_block_lists_every_key():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^\[correlator\]\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    assert block, "README's config example has no [correlator] block"
+    keys = re.findall(r"^(\w+) =", block.group(1), re.MULTILINE)
+    assert sorted(keys) == sorted(f.name for f in fields(CorrelatorConfig))

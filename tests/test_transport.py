@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
+from pairlock import transport
 from pairlock.timetags import Station, encode_words
 from pairlock.transport import (
     MAX_BLOCK_TAGS,
@@ -289,16 +290,58 @@ def test_silent_client_does_not_stall_the_next_sender(client):
     assert stats.blocks == 3
 
 
-def test_end_hook_follows_every_block():
-    events = []
-    server = ReceiverServer(on_block=lambda seq, w: events.append(seq),
-                            on_end=lambda: events.append("end")).start()
+def test_a_peer_that_resets_is_dropped_and_the_next_sender_is_served():
+    # A holder's first frame keeps the server in on_block while a stranger
+    # sends a hello and resets, so the server's hello reply meets a reset
+    # socket.
+    entered, gate = threading.Event(), threading.Event()
+
+    def on_block(seq, words):
+        entered.set()
+        assert gate.wait(timeout=10.0)
+
+    server = ReceiverServer(on_block=on_block).start()
     try:
-        send_words(server.host, server.port, _words(5000), Station.BOB, block_tags=2048)
+        with socket.create_connection((server.host, server.port), timeout=10.0) as holder:
+            holder.sendall(_hello(session_id=7) + _raw_frame(int(Station.BOB), _words(4)))
+            assert entered.wait(timeout=10.0)
+            stranger = socket.create_connection((server.host, server.port), timeout=10.0)
+            stranger.sendall(_hello(session_id=8))
+            stranger.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            stranger.close()
+            gate.set()
+            assert _read_n(holder, 21)[12:] == b"A" + struct.pack("<Q", 1)
+        words = _words(10_000)
+        stats = send_words(server.host, server.port, words, Station.BOB, block_tags=4096)
+        assert server.wait(timeout=10.0)
+    finally:
+        gate.set()
+        server.stop()
+    assert stats.blocks == 3
+    assert stats.reconnects == 0
+
+
+def test_an_engine_stall_costs_reconnects_not_the_run(monkeypatch):
+    # Each stall outlasts the reply deadline and forces a reconnect; only
+    # reconnects since the last acked block count against the budget.
+    monkeypatch.setattr(transport, "_SEND_TIMEOUT", 0.3)
+    delivered = []
+
+    def on_block(seq, words):
+        if seq in (1, 3, 5):
+            time.sleep(0.5)
+        delivered.append(seq)
+
+    server = ReceiverServer(on_block=on_block).start()
+    try:
+        stats = send_words(server.host, server.port, _words(7 * 1024), Station.BOB,
+                           block_tags=1024, max_reconnects=2)
         assert server.wait(timeout=10.0)
     finally:
         server.stop()
-    assert events == [0, 1, 2, "end"]
+    assert delivered == list(range(7))
+    assert stats.blocks == 7
+    assert stats.reconnects >= 3
 
 
 def test_sender_gives_up_when_every_connection_fails():
